@@ -207,6 +207,9 @@ def _resolve_settings(args) -> dict:
             settings[key] = parse(flag)
     if hasattr(args, "suite"):
         settings["suite"] = args.suite
+    threads = settings["threads"]
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     return settings
 
 
@@ -328,7 +331,8 @@ def _cl_reference(labels, p: int) -> dict:
 
 
 def _tv_distance(counts: dict, total: int, reference: dict) -> float:
-    support = set(counts) | set(reference)
+    # a fixed summation order keeps the float independent of the hash seed
+    support = sorted(set(counts) | set(reference))
     return 0.5 * sum(
         abs(counts.get(lbl, 0) / total - reference.get(lbl, 0.0))
         for lbl in support

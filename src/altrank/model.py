@@ -24,13 +24,14 @@ from .fitting import FitResult, exponent_fit
 from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
+    _p_valuation,
     cokernel,
     diag_valuations_mod,
     kernel_rank,
     smith_divisors,
 )
 from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
-from .primes import iroot, primes_up_to
+from .primes import iroot, is_prime, primes_up_to
 
 __all__ = [
     "CurveParams",
@@ -367,36 +368,27 @@ def empirical_corank_prob(
     return Estimate(p, math.sqrt(p * (1 - p) / samples))
 
 
-def _p_valuation(d: int, p: int) -> int:
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
-    return v
-
-
 def _certified_p_exponents(
     a: AlternatingMatrix, p: int, corank: int, start_prec: int = 8
 ):
     """Invariant-factor p-valuations through the bounded-precision route.
 
-    Certification: runs at prec and prec+2 must agree, show exactly
-    `corank` vanished diagonals, and stay at or below prec-2; otherwise
-    precision is raised.  Falls back to the exact Smith form if 64 bits
-    of precision were not enough (essentially never at sane entry
+    One elimination modulo p**(prec+2) is accepted when exactly `corank`
+    diagonals vanish and every other valuation is at most prec-2;
+    otherwise precision is raised.  Every int the kernel returns is
+    exact, and with `corank` Nones the Nones are exactly the zero
+    invariant factors, so an accepted list is the exact one.  The bound
+    prec-2 is stricter than exactness needs; it fixes at which precision
+    each draw is accepted.  Falls back to the exact Smith form if 64
+    bits of precision were not enough (essentially never at sane entry
     sizes).
     """
-    base = [list(row) for row in a.to_integer_matrix().to_rows()]
+    base = a.to_integer_matrix().to_rows()
     prec = start_prec
     while prec <= 64:
-        va = diag_valuations_mod([row[:] for row in base], a.n, p, prec)
-        vb = diag_valuations_mod([row[:] for row in base], a.n, p, prec + 2)
-        finite = [v for v in vb if v is not None]
-        if (
-            vb.count(None) == corank
-            and va == vb
-            and all(v <= prec - 2 for v in finite)
-        ):
+        vals = diag_valuations_mod(base, a.n, p, prec + 2)
+        finite = [v for v in vals if v is not None]
+        if vals.count(None) == corank and all(v <= prec - 2 for v in finite):
             return [v for v in finite if v > 0]
         prec += 2
     divisors = smith_divisors(a)
@@ -424,10 +416,16 @@ def empirical_sha_distribution(
         raise ValueError("conditioned corank must be 0 or 1")
     if n % 2 != r % 2:
         raise ValueError("corank r requires n = r (mod 2)")
+    if x < 1:
+        # x = 0 draws only the zero matrix, whose corank is always n
+        raise ValueError("entry bound x must be at least 1")
     if samples < 1:
         raise ValueError("need at least one sample")
     if method not in ("exact", "mod"):
         raise ValueError(f"unknown method {method!r}")
+    if not is_prime(p):
+        # the mod path inverts units mod p**prec, which needs p prime
+        raise ValueError(f"p must be prime, got {p}")
     counts: Counter = Counter()
     drawn = 0
     kept = 0
@@ -459,6 +457,8 @@ def empirical_square_cyclic_fraction(
     Smith form) is the square of a cyclic group."""
     if n % 2:
         raise ValueError("corank 0 requires even n")
+    if x < 1:
+        raise ValueError("entry bound x must be at least 1")
     if samples < 1:
         raise ValueError("need at least one sample")
     hits = 0
@@ -479,14 +479,21 @@ def empirical_cl_distribution(
 ) -> EmpiricalDistribution:
     """p-part labels of cokernels of uniform square matrices mod p**k.
 
-    Entries are only known to k p-adic digits, so each draw is certified:
-    eliminations at prec and prec+2 must agree with no vanished diagonal
-    and all valuations at most prec-2.  An uncertified draw gets two more
-    uniform digits appended to every entry (which refines the same
-    p-adic law) and is retried at higher precision.
+    Entries are only known to a finite number of p-adic digits, so each
+    draw is certified by one elimination modulo p**(prec+2), the digits
+    drawn so far: no diagonal may vanish and every valuation must be at
+    most prec-2.  The kernel's ints are exact, so an accepted draw's
+    cokernel does not depend on the digits not yet drawn.  The bound
+    prec-2 is stricter than exactness needs; it fixes which draws are
+    refined, and so the RNG stream and `refinement_rounds`.
+    An uncertified draw gets two more uniform digits appended to every
+    entry (which refines the same p-adic law) and is retried at higher
+    precision.
     """
     if k < 5:
         raise ValueError("precision k must be at least 5")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if samples < 1:
         raise ValueError("need at least one sample")
     counts: Counter = Counter()
@@ -500,15 +507,8 @@ def empirical_cl_distribution(
             for row in entries:
                 for j in range(n):
                     row[j] += step * rng.randrange(p * p)
-            va = diag_valuations_mod([row[:] for row in entries], n, p, prec)
-            vb = diag_valuations_mod(
-                [row[:] for row in entries], n, p, prec + 2
-            )
-            if (
-                None not in vb
-                and va == vb
-                and all(v <= prec - 2 for v in vb)
-            ):
+            vals = diag_valuations_mod(entries, n, p, prec + 2)
+            if None not in vals and all(v <= prec - 2 for v in vals):
                 break
             refinement_rounds += 1
             prec += 2
@@ -517,7 +517,7 @@ def empirical_cl_distribution(
                     "cokernel structure failed to stabilize; this has "
                     "probability around p**-24 and suggests a broken rng"
                 )
-        counts[group_label(AbelianPGroup.from_valuations(p, vb))] += 1
+        counts[group_label(AbelianPGroup.from_valuations(p, vals))] += 1
     return EmpiricalDistribution(
         dict(sorted(counts.items())),
         samples,

@@ -1,9 +1,31 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import altrank
 from altrank.cli import main, parse_exact_int, parse_int_list
+
+SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
+
+
+def run_cli(args, timeout, hash_seed="0"):
+    """`python -m altrank` in a child process with a fixed hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "altrank"] + args,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def read_json(path):
@@ -69,6 +91,23 @@ def test_domain_error_exits_2_and_leaves_no_files(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
+    rc = main(["cl-dist", "--out", str(tmp_path), "--samples", "10", "--threads", threads])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sha_dist_zero_entry_bound_exits_2(tmp_path):
+    # x = 0 draws only the zero matrix, so the corank condition never holds
+    proc = run_cli(["sha-dist", "--out", str(tmp_path), "--n", "4", "--x", "0"], 60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -245,6 +284,17 @@ def test_sha_dist_byte_identical_reruns(tmp_path):
     assert main(["sha-dist", "--out", str(a)] + args) == 0
     assert main(["sha-dist", "--out", str(b)] + args) == 0
     assert (a / "sha_dist.json").read_bytes() == (b / "sha_dist.json").read_bytes()
+
+
+def test_cl_dist_byte_identical_across_hash_seeds(tmp_path):
+    args = ["--n", "8", "--p", "2", "--k", "8", "--samples", "300", "--seed", "1"]
+    outs = []
+    for hash_seed in ("0", "3"):
+        out = tmp_path / hash_seed
+        proc = run_cli(["cl-dist", "--out", str(out)] + args, 120, hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "cl_dist.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_simulate_byte_identical_across_threads(tmp_path):

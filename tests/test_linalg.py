@@ -23,6 +23,7 @@ from altrank.linalg import (
     smith_divisors,
     smith_normal_form,
 )
+from altrank.model import empirical_cl_distribution, empirical_sha_distribution
 
 
 def random_alternating(n, bound, rng):
@@ -406,3 +407,73 @@ def test_diag_valuations_sorted_with_nones_last():
 def test_diag_valuations_zero_matrix_all_none():
     rows = [[0, 0], [0, 0]]
     assert diag_valuations_mod(rows, 2, 2, 6) == [None, None]
+
+
+def truncated_valuations(m, p, prec):
+    """min(v_p(d_i), prec) over the Smith divisors, None where it is prec."""
+    return [
+        v if v is not None and v < prec else None
+        for v in exact_valuations(m, m.n_rows, p)
+    ]
+
+
+def test_diag_valuations_exhaustive_2x2():
+    # every int is exact, certified or not: the kernel returns the Smith
+    # form of A mod p**prec
+    for entries in product(range(-4, 5), repeat=4):
+        m = IntegerMatrix(2, 2, entries)
+        for p in (2, 3):
+            for prec in range(1, 6):
+                got = diag_valuations_mod(m.to_rows(), 2, p, prec)
+                assert got == truncated_valuations(m, p, prec), (entries, p, prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-60, 60), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=10),
+)
+def test_diag_valuations_equal_truncated_smith(rows, p, prec):
+    n = len(rows)
+    m = IntegerMatrix.from_rows(rows)
+    assert diag_valuations_mod(rows, n, p, prec) == truncated_valuations(m, p, prec)
+
+
+def test_diag_valuations_leave_input_unchanged():
+    rows = [[4, 6], [2, 9]]
+    diag_valuations_mod(rows, 2, 2, 3)
+    assert rows == [[4, 6], [2, 9]]
+
+
+# ---------------------------------------------------------------------------
+# outputs of the kernel's callers, recorded when each draw was certified by
+# two eliminations (at prec and prec+2) that had to agree; one elimination
+# at prec+2 with the same acceptance rule must reproduce them exactly
+
+
+def test_cl_distribution_pinned():
+    dist = empirical_cl_distribution(8, 2, 8, 300, Random(1))
+    assert dist.counts == {
+        "2:[1,1]": 12, "2:[1]": 76, "2:[2,1,1]": 2, "2:[2,1]": 15,
+        "2:[2,2]": 1, "2:[2]": 47, "2:[3,1]": 4, "2:[3]": 24, "2:[4,1]": 2,
+        "2:[4]": 11, "2:[5,1]": 2, "2:[5]": 5, "2:[6]": 2, "2:[7,1]": 1,
+        "2:[7]": 1, "2:[8]": 2, "2:[9]": 1, "2:[]": 92,
+    }
+    assert dist.meta["refinement_rounds"] == 6
+
+
+def test_sha_distribution_mod_pinned():
+    dist = empirical_sha_distribution(8, 10**4, 0, 2, 200, Random(7), method="mod")
+    assert dist.counts == {
+        "2:[1,1,1,1]": 4, "2:[1,1]": 58, "2:[12,12]": 1, "2:[2,2,1,1]": 2,
+        "2:[2,2]": 28, "2:[3,3]": 12, "2:[4,4]": 10, "2:[5,5]": 1,
+        "2:[6,6]": 1, "2:[]": 83,
+    }
+    assert dist.meta["draws"] == 200

@@ -34,6 +34,19 @@ from altrank.model import (
 CFG = ModelConfig()
 
 
+class BoundedRandom(Random):
+    """Random that fails after a fixed number of draws, so that a sampling
+    loop which can never finish fails the test instead of hanging it."""
+
+    budget = 10_000
+
+    def randrange(self, *args, **kwargs):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("draw budget exhausted")
+        return super().randrange(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # heights and curve validity
 
@@ -354,6 +367,11 @@ def test_sha_distribution_validation():
         empirical_sha_distribution(4, 4, 2, 2, 10, rng)  # r not in {0, 1}
     with pytest.raises(ValueError):
         empirical_sha_distribution(4, 4, 0, 2, 10, rng, method="guess")
+    with pytest.raises(ValueError):
+        # x = 0 draws only the zero matrix, which never has corank 0
+        empirical_sha_distribution(4, 0, 0, 2, 10, BoundedRandom(0))
+    with pytest.raises(ValueError, match="prime"):
+        empirical_sha_distribution(4, 4, 0, 4, 10, rng, method="mod")
 
 
 def test_square_cyclic_fraction_n2_always_one():
@@ -379,6 +397,8 @@ def test_square_cyclic_fraction_n4_vs_census():
     assert abs(est.value - want) < 4 * se + 1e-9
     with pytest.raises(ValueError):
         empirical_square_cyclic_fraction(5, 2, 10, Random(0))
+    with pytest.raises(ValueError):
+        empirical_square_cyclic_fraction(4, 0, 10, BoundedRandom(0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +422,9 @@ def test_cl_distribution_small_matches_gl_probability():
 def test_cl_distribution_validation():
     with pytest.raises(ValueError):
         empirical_cl_distribution(4, 2, 3, 10, Random(0))  # k too small
+    for p in (1, 4):
+        with pytest.raises(ValueError, match="prime"):
+            empirical_cl_distribution(4, p, 6, 10, Random(0))
 
 
 def test_empirical_distribution_container():

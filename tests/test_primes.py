@@ -28,6 +28,8 @@ def test_is_prime_large_known():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(10**18 + 9)
+    # strong pseudoprime to the twelve bases 2..37 (below psi_13)
+    assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
 
 
 def test_factorize_roundtrip_random():
