@@ -27,10 +27,11 @@ from . import __version__
 from .counting import (
     CapExceededError,
     LatticeBasis,
+    census_cells,
     check_det_identity,
     check_inner_product_identity,
     count_alternating_by_rank,
-    fit_counting_exponent,
+    fit_census,
 )
 from .groups import (
     AbelianPGroup,
@@ -134,15 +135,14 @@ _SCHEMA = {
     "stride": parse_exact_int,
 }
 
+# settings passed through to ModelConfig; their defaults are its defaults
+_MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
+
 _GLOBAL_DEFAULTS = {
     "seed": 12345,
     "threads": 1,
     "out": None,
-    "eta_schedule": "log3",
-    "eta_floor": 2,
-    "x_min": 2,
-    "calibration_exponent": "1/12",
-    "chunk": 20_000,
+    **{key: getattr(ModelConfig, key) for key in _MODEL_KEYS},
 }
 
 _COMMAND_DEFAULTS = {
@@ -211,18 +211,6 @@ def _resolve_settings(args) -> dict:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     return settings
-
-
-def _model_config(settings) -> ModelConfig:
-    return ModelConfig(
-        eta_schedule=settings["eta_schedule"],
-        eta_floor=settings["eta_floor"],
-        x_min=settings["x_min"],
-        calibration_exponent=Fraction(settings["calibration_exponent"]),
-        seed=settings["seed"],
-        samples_per_point=settings.get("curves_per_band", 10_000),
-        chunk=settings["chunk"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +332,7 @@ def _tv_distance(counts: dict, total: int, reference: dict) -> float:
 
 
 def cmd_simulate(settings, emitter) -> int:
-    cfg = _model_config(settings)
+    cfg = ModelConfig(seed=settings["seed"], **{k: settings[k] for k in _MODEL_KEYS})
     records, fits = rank_survey(
         settings["h_grid"],
         settings["curves_per_band"],
@@ -448,24 +436,20 @@ def cmd_cl_dist(settings, emitter) -> int:
 
 
 def _count_worker(spec):
-    n, bound, norm = spec
-    return count_alternating_by_rank(n, bound, norm).counts
+    return count_alternating_by_rank(*spec)
 
 
 def cmd_count(settings, emitter) -> int:
     n, r, norm = settings["n"], settings["r"], settings["norm"]
     bounds = settings["bounds"]
+    for b in bounds:
+        census_cells(n, b, norm)  # refuse an oversized census before any runs
     histograms = map_chunks(
         _count_worker, [(n, b, norm) for b in bounds], settings["threads"]
     )
-    rows = []
-    for bound, counts in zip(bounds, histograms):
-        if norm == "box":
-            quantity = sum(c for k, c in counts.items() if k <= r)
-        else:
-            quantity = counts.get(r, 0)
-        rows.append((n, r, bound, norm, quantity))
-    fit = fit_counting_exponent(n, r, bounds, norm)
+    points = [(b, h.fit_count(r)) for b, h in zip(bounds, histograms)]
+    rows = [(n, r, b, norm, y) for b, y in points]
+    fit = fit_census(points)
     target = n * (n - r) / 2 if norm == "box" else n * r / 2
     emitter.csv(
         "counts.csv", ["n", "r", "bound", "norm", "count"], rows
@@ -1006,7 +990,7 @@ def main(argv=None) -> int:
     emitter = Emitter(out_dir)
     try:
         return _COMMANDS[args.command](settings, emitter)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         emitter.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2

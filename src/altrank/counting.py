@@ -31,7 +31,9 @@ __all__ = [
     "LatticeBasis",
     "Estimate",
     "CountFit",
+    "census_cells",
     "count_alternating_by_rank",
+    "fit_census",
     "fit_counting_exponent",
     "gram_matrix",
     "gram_det",
@@ -75,6 +77,10 @@ class RankHistogram:
     def at_most(self, r: int) -> int:
         return sum(c for k, c in self.counts.items() if k <= r)
 
+    def fit_count(self, r: int) -> int:
+        """What the slope fit tracks: rank <= r (box) or exactly r (l2)."""
+        return self.at_most(r) if self.norm == "box" else self.counts.get(r, 0)
+
 
 def _pfaffian_zero_count_box(x: int) -> int:
     """#{alternating 4x4, entries in [-x, x], Pfaffian = 0}, exactly.
@@ -100,10 +106,9 @@ def _pfaffian_zero_count_box(x: int) -> int:
     return total
 
 
-def count_alternating_by_rank(
-    n: int, bound: int, norm: str = "box", cap: int = ENUMERATION_CAP
-) -> RankHistogram:
-    """Exact histogram of rank over a finite family of alternating matrices."""
+def census_cells(n: int, bound: int, norm: str = "box") -> int:
+    """Cells count_alternating_by_rank visits (an upper estimate for l2);
+    raises CapExceededError above ENUMERATION_CAP."""
     if n < 0 or bound < 0:
         raise ValueError("dimension and bound must be nonnegative")
     if norm not in ("box", "l2"):
@@ -111,8 +116,19 @@ def count_alternating_by_rank(
     m = n * (n - 1) // 2
     if norm == "box":
         cells = (2 * bound + 1) ** m
-        if cells > cap:
-            raise CapExceededError(f"{cells} cells exceed cap {cap}")
+    else:
+        # l2: strict bound |A| < bound, i.e. 2 * sum a_ij^2 <= bound^2 - 1
+        cells = (2 * math.isqrt((bound * bound - 1) // 2) + 1) ** m if m else 1
+    if cells > ENUMERATION_CAP:
+        raise CapExceededError(f"{cells} cells exceed cap {ENUMERATION_CAP}")
+    return cells
+
+
+def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHistogram:
+    """Exact histogram of rank over a finite family of alternating matrices."""
+    cells = census_cells(n, bound, norm)
+    m = n * (n - 1) // 2
+    if norm == "box":
         if n <= 1:
             return RankHistogram(n, bound, norm, {0: 1})
         if n == 2:
@@ -128,11 +144,7 @@ def count_alternating_by_rank(
             counts[_alternating_rank(n, upper)] += 1
         return RankHistogram(n, bound, norm, dict(counts))
 
-    # l2: strict bound |A| < bound, i.e. 2 * sum a_ij^2 <= bound^2 - 1
     budget = (bound * bound - 1) // 2
-    est = (2 * math.isqrt(budget) + 1) ** m if m else 1
-    if est > cap:
-        raise CapExceededError(f"about {est} cells exceed cap {cap}")
     counts = Counter()
     upper = [0] * m
 
@@ -153,29 +165,17 @@ def count_alternating_by_rank(
     return RankHistogram(n, bound, norm, dict(counts))
 
 
-def fit_counting_exponent(
-    n: int, r: int, bounds, norm: str = "l2", min_count: int = 20
-) -> CountFit:
-    """Log-log slope of the rank-r census against the bound.
-
-    l2 mode counts matrices of rank exactly r (expected slope n*r/2);
-    box mode counts rank <= r (expected slope n*(n-r)/2).  Bounds whose
-    count is zero are skipped and reported.  Points below `min_count`
-    are dropped unless that would leave fewer than three points, in
-    which case every positive count is used.
+def fit_census(points, min_count: int = 20) -> CountFit:
+    """Log-log slope of census counts against the bound, from at least
+    four (bound, count) pairs.  Bounds whose count is zero are skipped
+    and reported.  Points below `min_count` are dropped unless that
+    would leave fewer than three points; then every positive count is
+    used.
     """
-    bounds = list(bounds)
-    if len(bounds) < 4:
+    if len(points) < 4:
         raise ValueError("need at least four bounds")
-    pts = []
-    skipped = []
-    for b in bounds:
-        hist = count_alternating_by_rank(n, b, norm)
-        y = hist.at_most(r) if norm == "box" else hist.counts.get(r, 0)
-        if y == 0:
-            skipped.append(b)
-        else:
-            pts.append((b, y))
+    pts = [(b, y) for b, y in points if y]
+    skipped = [b for b, y in points if not y]
     big = [(b, y) for b, y in pts if y >= min_count]
     used = big if len(big) >= 3 else pts
     if len(used) < 3:
@@ -187,6 +187,18 @@ def fit_counting_exponent(
         fit.r_squared,
         tuple(b for b, _ in used),
         tuple(skipped),
+    )
+
+
+def fit_counting_exponent(
+    n: int, r: int, bounds, norm: str = "l2", min_count: int = 20
+) -> CountFit:
+    """fit_census of the rank-r census: l2 mode counts matrices of rank
+    exactly r (expected slope n*r/2), box mode rank <= r (expected slope
+    n*(n-r)/2)."""
+    return fit_census(
+        [(b, count_alternating_by_rank(n, b, norm).fit_count(r)) for b in bounds],
+        min_count,
     )
 
 

@@ -439,7 +439,7 @@ def delaunay_measure(
     return MeasureValue(scale * base, scale * tail)._require_unit()
 
 
-def square_cyclic_density(prime_cutoff: int, tol_unused: float = 0.0) -> MeasureValue:
+def square_cyclic_density(prime_cutoff: int) -> MeasureValue:
     """prod_{p <= cutoff} (1 - p^-2 + p^-3) with a prime-zeta tail bound.
 
     This is a plain Euler product; it is not the limit of the

@@ -549,15 +549,18 @@ def _p_valuation(d: int, p: int) -> int:
     return v
 
 
+def _p_exponents(divisors, p: int) -> list:
+    """p-valuations of the invariant factors above 1 (zeros are free rank)."""
+    return [_p_valuation(d, p) for d in divisors if d > 1]
+
+
 def cokernel_p_part(a: AlternatingMatrix, p: int) -> AbelianPGroup:
     """p-primary part of the cokernel torsion, as an exponent partition."""
     from .primes import is_prime
 
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    divisors = smith_divisors(a)
-    vals = [_p_valuation(d, p) for d in divisors if d > 1]
-    return AbelianPGroup.from_valuations(p, vals)
+    return AbelianPGroup.from_valuations(p, _p_exponents(smith_divisors(a), p))
 
 
 def diag_valuations_mod(rows, n: int, p: int, prec: int):

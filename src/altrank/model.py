@@ -12,10 +12,12 @@ height range reduce to exact integer linear algebra on samples.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -24,14 +26,14 @@ from .fitting import FitResult, exponent_fit
 from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
-    _p_valuation,
+    _p_exponents,
     cokernel,
     diag_valuations_mod,
     kernel_rank,
     smith_divisors,
 )
 from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
-from .primes import iroot, is_prime, primes_up_to
+from .primes import iroot, is_prime
 
 __all__ = [
     "CurveParams",
@@ -65,6 +67,9 @@ _LN3 = math.log(3)
 
 MIN_HEIGHT = 100
 
+# the survey's slope fit and the period scan take heights as floats
+MAX_FLOAT_HEIGHT = int(sys.float_info.max)
+
 
 # ---------------------------------------------------------------------------
 # the curve family
@@ -74,37 +79,22 @@ def curve_height(a4: int, a6: int) -> int:
     return max(abs(4 * a4 * a4 * a4), 27 * a6 * a6)
 
 
-_prime_cache: list = []
-_prime_cache_limit = 0
-
-
-def _prime_powers_up_to(bound: int):
-    """(p, p^4, p^6) for primes p <= bound, cached and grown on demand."""
-    global _prime_cache, _prime_cache_limit
-    if bound > _prime_cache_limit:
-        limit = max(2 * bound, 64)
-        _prime_cache = [(p, p**4, p**6) for p in primes_up_to(limit)]
-        _prime_cache_limit = limit
-    return _prime_cache
-
-
 def is_valid_curve(a4: int, a6: int) -> bool:
     """Nonsingular and minimal: 4*a4^3 + 27*a6^2 != 0 and no prime p has
-    p^4 | a4 and p^6 | a6.
+    p^4 | a4 and p^6 | a6 (Silverman, AEC VIII.8).
 
-    Only primes with p^4 <= |a4| can violate minimality (p^6 <= |a6|
-    when a4 = 0, since p^4 | 0 always holds), so trial division over a
-    short cached prime list suffices.
+    Such a p has p^4 | g = gcd(a4, a6), and p^6 | g when a4 = 0 (then
+    g = |a6|), so trial division by every integer d from 2 to the 4th
+    (6th) root of g suffices: a composite d that passes has a prime
+    factor that passes too.
     """
     if 4 * a4 * a4 * a4 + 27 * a6 * a6 == 0:
         return False
-    bound = iroot(abs(a4), 4) if a4 else iroot(abs(a6), 6)
-    if bound < 2:
+    g = math.gcd(a4, a6)
+    if g < 16:
         return True
-    for p, p4, p6 in _prime_powers_up_to(bound):
-        if p > bound:
-            break
-        if a4 % p4 == 0 and a6 % p6 == 0:
+    for d in range(2, (iroot(g, 4) if a4 else iroot(g, 6)) + 1):
+        if a4 % d**4 == 0 and a6 % d**6 == 0:
             return False
     return True
 
@@ -164,12 +154,11 @@ def _band_nonempty(height_cap: int) -> bool:
     )
 
 
-def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
-    """Uniform over valid curves with height in (height_cap/2, height_cap].
-
-    Rejection from the coefficient box; the band condition is the exact
-    integer test 2*height > height_cap.
-    """
+def _curve_stream(height_cap: int, rng: Random):
+    """Endless (a4, a6, height) of independent uniform valid curves with
+    height in (height_cap/2, height_cap], by rejection from the
+    coefficient box; the band condition is the exact integer test
+    2*height > height_cap.  The band is checked at the first curve."""
     if height_cap < MIN_HEIGHT:
         raise ValueError(f"band top must be at least {MIN_HEIGHT}")
     if not _band_nonempty(height_cap):
@@ -180,8 +169,15 @@ def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
     while True:
         a4 = rng.randint(-a_max, a_max)
         a6 = rng.randint(-b_max, b_max)
-        if 2 * curve_height(a4, a6) > height_cap and is_valid_curve(a4, a6):
-            return CurveParams(a4, a6)
+        h = curve_height(a4, a6)
+        if 2 * h > height_cap and is_valid_curve(a4, a6):
+            yield a4, a6, h
+
+
+def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
+    """Uniform over valid curves with height in (height_cap/2, height_cap]."""
+    a4, a6, _ = next(_curve_stream(height_cap, rng))
+    return CurveParams(a4, a6)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +202,6 @@ class ModelConfig:
     x_min: int = 2
     calibration_exponent: Fraction = Fraction(1, 12)
     seed: int = 12345
-    samples_per_point: int = 10_000
     chunk: int = CHUNK
 
     def __post_init__(self):
@@ -226,8 +221,8 @@ class ModelConfig:
             raise ValueError("eta_floor must be at least 1")
         if self.x_min < 2:
             raise ValueError("x_min must be at least 2")
-        if self.samples_per_point < 1 or self.chunk < 1:
-            raise ValueError("samples_per_point and chunk must be positive")
+        if self.chunk < 1:
+            raise ValueError("chunk must be positive")
 
 
 class ModelParams(NamedTuple):
@@ -391,8 +386,7 @@ def _certified_p_exponents(
         if vals.count(None) == corank and all(v <= prec - 2 for v in finite):
             return [v for v in finite if v > 0]
         prec += 2
-    divisors = smith_divisors(a)
-    return [_p_valuation(d, p) for d in divisors if d > 1]
+    return _p_exponents(smith_divisors(a), p)
 
 
 def empirical_sha_distribution(
@@ -436,7 +430,7 @@ def empirical_sha_distribution(
             divisors = smith_divisors(a)
             if n - sum(1 for d in divisors if d) != r:
                 continue
-            exponents = [_p_valuation(d, p) for d in divisors if d > 1]
+            exponents = _p_exponents(divisors, p)
         else:
             if kernel_rank(a) != r:
                 continue
@@ -490,6 +484,8 @@ def empirical_cl_distribution(
     entry (which refines the same p-adic law) and is retried at higher
     precision.
     """
+    if n < 0:
+        raise ValueError(f"matrix size n must be nonnegative, got {n}")
     if k < 5:
         raise ValueError("precision k must be at least 5")
     if not is_prime(p):
@@ -555,19 +551,10 @@ def _survey_chunk(spec):
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
-    a_max, b_max = _coefficient_box(height_cap)
     hits = [0] * (MAX_SURVEY_RANK + 1)
-    for _ in range(size):
-        while True:
-            a4 = rng.randint(-a_max, a_max)
-            a6 = rng.randint(-b_max, b_max)
-            h = curve_height(a4, a6)
-            if 2 * h > height_cap and is_valid_curve(a4, a6):
-                break
-        eta = schedule_eta(h, cfg)
-        n = eta + rng.randrange(2)
-        x = schedule_x(h, eta, cfg)
-        corank = kernel_rank(sample_alternating(n, x, rng))
+    for _, _, h in islice(_curve_stream(height_cap, rng), size):
+        params = model_params(h, cfg, rng)
+        corank = kernel_rank(sample_alternating(params.n, params.x, rng))
         for r in range(1, min(corank, MAX_SURVEY_RANK) + 1):
             hits[r] += 1
     return hits
@@ -588,6 +575,8 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
         raise ValueError("grid heights must increase")
     if any(h < MIN_HEIGHT for h in h_grid):
         raise ValueError(f"grid heights must be at least {MIN_HEIGHT}")
+    if h_grid[-1] > MAX_FLOAT_HEIGHT:
+        raise ValueError(f"grid heights must be at most {MAX_FLOAT_HEIGHT:.6g}")
     if not all(_band_nonempty(h) for h in h_grid):
         raise ValueError("some grid band contains no valid curve")
     if curves_per_band < 1:

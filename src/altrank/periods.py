@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .counting import CapExceededError
-from .model import MIN_HEIGHT, curve_height, sample_curve_in_band
+from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, sample_curve_in_band
 from .primes import factorize
 
 __all__ = [
@@ -194,6 +194,8 @@ def period_bound_scan(h_range, samples: int, rng):
         raise ValueError("need at least 100 samples")
     if h_lo < MIN_HEIGHT or h_hi <= h_lo:
         raise ValueError("bad height range")
+    if h_hi > MAX_FLOAT_HEIGHT:
+        raise ValueError(f"heights must be at most {MAX_FLOAT_HEIGHT:.6g}")
     rows = []
     normalized = []
     per_log = []

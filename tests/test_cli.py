@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import altrank
+import altrank.cli
+import altrank.counting
 from altrank.cli import main, parse_exact_int, parse_int_list
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
@@ -111,6 +113,35 @@ def test_sha_dist_zero_entry_bound_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--h-grid", "1e400,1e401,1e402"],
+        ["period-scan", "--h-max", "1e320"],
+        # 3**15 cells at bound 1 would run first; bound 2 is over the cap
+        ["count", "--n", "6", "--norm", "box", "--bounds", "1..4"],
+        ["cl-dist", "--n", "-1", "--k", "6", "--samples", "20"],
+    ],
+)
+def test_out_of_range_input_exits_2_at_once(tmp_path, args):
+    proc = run_cli(args + ["--out", str(tmp_path)], 60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--h-grid", "1e100,1e101,1e102", "--curves-per-band", "3"],
+        ["period-scan", "--h-min", "1e200", "--h-max", "1e300", "--samples", "100"],
+    ],
+)
+def test_huge_heights_in_float_range_run(tmp_path, args):
+    proc = run_cli(args + ["--out", str(tmp_path)], 60)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("volume = 11\n")
@@ -158,7 +189,16 @@ def test_print_config_writes_nothing(tmp_path, capsys, monkeypatch):
     rc = main(["print-config"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "seed" in text and "12345" in text
+    assert text.splitlines()[:8] == [
+        "calibration_exponent = 1/12",
+        "chunk = 20000",
+        "eta_floor = 2",
+        "eta_schedule = log3",
+        "out = None",
+        "seed = 12345",
+        "threads = 1",
+        "x_min = 2",
+    ]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -180,7 +220,16 @@ def test_predicted_table_command(tmp_path):
     assert "predicted_table.csv" in manifest["outputs"]
 
 
-def test_count_command_census(tmp_path):
+def test_count_command_census(tmp_path, monkeypatch):
+    calls = []
+    census = altrank.counting.count_alternating_by_rank
+
+    def counted(*args):
+        calls.append(args)
+        return census(*args)
+
+    for module in (altrank.cli, altrank.counting):
+        monkeypatch.setattr(module, "count_alternating_by_rank", counted)
     rc = main(
         [
             "count",
@@ -200,6 +249,7 @@ def test_count_command_census(tmp_path):
     rows = read_csv(tmp_path / "counts.csv")
     got = {int(r["bound"]): int(r["count"]) for r in rows}
     assert got == {2: 6, 3: 32, 4: 80, 5: 178}
+    assert len(calls) == 4  # the fit reuses the census of each bound
     fit = read_json(tmp_path / "counts_fit.json")
     assert fit["target_slope"] == 3.0
     assert abs(fit["slope"] - 3.0) < 0.4

@@ -11,6 +11,7 @@ from altrank.counting import (
     LatticeBasis,
     RankHistogram,
     build_wedge_basis,
+    census_cells,
     check_det_identity,
     check_inner_product_identity,
     count_alternating_by_rank,
@@ -120,6 +121,9 @@ def test_box_ranks_always_even():
 def test_box_cap():
     with pytest.raises(CapExceededError):
         count_alternating_by_rank(6, 10)
+    assert census_cells(6, 1) == 3**15
+    with pytest.raises(CapExceededError):
+        census_cells(6, 2)
 
 
 # ---------------------------------------------------------------------------

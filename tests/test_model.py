@@ -4,6 +4,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from altrank.linalg import AlternatingMatrix, cokernel, kernel_rank
 from altrank.model import (
@@ -29,6 +30,7 @@ from altrank.model import (
     schedule_x,
     torsion_label,
 )
+from altrank.primes import factorize
 
 
 CFG = ModelConfig()
@@ -74,6 +76,39 @@ def test_is_valid_curve_minimality():
     assert not is_valid_curve(16, 0)
     assert is_valid_curve(0, 1)
     assert is_valid_curve(-1, 0)
+    # far beyond any prime table: only gcd(a4, a6) bounds the search
+    big4, big6 = 10**80 + 1, 10**120 + 7
+    assert is_valid_curve(big4, big6)
+    assert not is_valid_curve(1009**4 * big4, 1009**6 * big6)
+    assert is_valid_curve(1009**4 * big4, 1009**5 * big6)
+    assert not is_valid_curve(0, 10**120)
+
+
+def minimal_by_definition(a4, a6, extra_primes=()):
+    """Nonsingular and no prime p with p^4 | a4 and p^6 | a6, over the
+    primes of a nonzero coefficient (plus `extra_primes`)."""
+    if 4 * a4**3 + 27 * a6**2 == 0:
+        return False
+    primes = set(factorize(abs(a4 or a6))) | set(extra_primes)
+    return not any(a4 % p**4 == 0 and a6 % p**6 == 0 for p in primes)
+
+
+def test_is_valid_curve_matches_definition_on_a_box():
+    for a4, a6 in product(range(-300, 301), repeat=2):
+        assert is_valid_curve(a4, a6) == minimal_by_definition(a4, a6), (a4, a6)
+
+
+@given(
+    st.integers(-(10**4), 10**4),
+    st.integers(-(10**4), 10**4),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
+    st.integers(3, 4),
+    st.integers(5, 6),
+)
+def test_is_valid_curve_matches_definition_when_scaled(a4, a6, p, e4, e6):
+    # (p^4 a4, p^6 a6) is never minimal; one power short may or may not be
+    s4, s6 = a4 * p**e4, a6 * p**e6
+    assert is_valid_curve(s4, s6) == minimal_by_definition(s4, s6, (p,))
 
 
 def test_curve_params_validation():
@@ -116,11 +151,26 @@ def test_count_curves_monotone():
 
 def test_sample_curve_in_band_contract():
     rng = Random(30)
-    for cap in (10**4, 10**6):
+    for cap in (10**4, 10**6, 10**400, 10**100):
         for _ in range(40):
             c = sample_curve_in_band(cap, rng)
             assert cap // 2 < c.height <= cap
             assert is_valid_curve(c.a4, c.a6)
+
+
+def test_curve_sequence_pinned():
+    # the survey shares this sampler's RNG order, so survey.csv bytes
+    # depend on these exact draws
+    rng = Random(5)
+    caps = (10**4, 10**6, 10**12, 10**24, 10**40)
+    got = [(c.a4, c.a6) for c in (sample_curve_in_band(h, rng) for h in caps)]
+    assert got == [
+        (12, 14),
+        (-59, 46),
+        (-2219, 147799),
+        (-56036427, -102681405638),
+        (12150527377787, 6730793169310134583),
+    ]
 
 
 def test_sample_curve_empty_band_raises():
@@ -202,6 +252,8 @@ def test_model_config_validation():
         ModelConfig(eta_schedule="sqrt")
     with pytest.raises(ValueError):
         ModelConfig(x_min=1)
+    with pytest.raises(ValueError):
+        ModelConfig(chunk=0)
     cfg = ModelConfig(calibration_exponent="1/6")
     assert cfg.calibration_exponent == Fraction(1, 6)
 
@@ -422,6 +474,8 @@ def test_cl_distribution_small_matches_gl_probability():
 def test_cl_distribution_validation():
     with pytest.raises(ValueError):
         empirical_cl_distribution(4, 2, 3, 10, Random(0))  # k too small
+    with pytest.raises(ValueError, match="nonnegative"):
+        empirical_cl_distribution(-1, 2, 6, 10, Random(0))
     for p in (1, 4):
         with pytest.raises(ValueError, match="prime"):
             empirical_cl_distribution(4, p, 6, 10, Random(0))
@@ -463,6 +517,19 @@ def test_rank_survey_structure_and_determinism():
             assert hits[r] >= hits[r + 1]  # thresholds nest
 
 
+def test_rank_survey_hits_pinned():
+    # three bands of five small chunks each; pins the survey's RNG order
+    # (curve, then matrix size, then entries)
+    recs, _ = rank_survey(
+        [10**6, 10**12, 10**18], 300, ModelConfig(seed=2024, chunk=64)
+    )
+    assert [rec.hits for rec in recs] == [
+        182, 30, 2, 0, 0,
+        176, 17, 1, 0, 0,
+        153, 7, 1, 0, 0,
+    ]
+
+
 def test_rank_survey_seed_sensitivity():
     grid = [10**6, 10**8, 10**10]
     recs_a, _ = rank_survey(grid, 800, ModelConfig(seed=1, chunk=400))
@@ -478,6 +545,8 @@ def test_rank_survey_validation():
         rank_survey([10**8, 10**6, 10**10], 100, cfg)  # not increasing
     with pytest.raises(ValueError):
         rank_survey([50, 10**6, 10**8], 100, cfg)  # below MIN_HEIGHT
+    with pytest.raises(ValueError, match="at most"):
+        rank_survey([10**400, 10**401, 10**402], 100, cfg)  # past float range
 
 
 # ---------------------------------------------------------------------------

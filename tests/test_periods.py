@@ -192,3 +192,5 @@ def test_period_bound_scan_validation():
         period_bound_scan((10**6, 10**4), 200, rng)
     with pytest.raises(ValueError):
         period_bound_scan((10, 10**4), 200, rng)
+    with pytest.raises(ValueError, match="at most"):
+        period_bound_scan((10**4, 10**320), 200, rng)  # past float range

@@ -66,7 +66,7 @@ def test_is_squarefree():
     ]
 
 
-@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=10))
+@given(st.integers(min_value=0, max_value=10**500), st.integers(min_value=1, max_value=40))
 def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)
     assert r**k <= n < (r + 1) ** k
@@ -85,6 +85,13 @@ def test_iroot_huge_no_float_loss():
     n = (10**20 + 39) ** 3
     assert iroot(n, 3) == 10**20 + 39
     assert iroot(n - 1, 3) == 10**20 + 38
+    # beyond the float range, and roots far above 2**50 where a float
+    # seed lands millions of units off
+    assert iroot(10**420, 3) == 10**140
+    assert iroot(10**420 - 1, 3) == 10**140 - 1
+    for n, k in ((10**400, 3), (10**400, 828), (10**70, 3), (10**70 + 1, 5)):
+        r = iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
 
 
 def test_iroot_rejects_negative():
