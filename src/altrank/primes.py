@@ -123,17 +123,8 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    bits = n.bit_length()
-    if bits <= min(50 * k, 1000):
-        # a root below 2**50 comes out of the float within a few units
-        x = int(round(n ** (1.0 / k)))
-    else:
-        # integer Newton from 2**ceil(bits/k) > root decreases to the floor
-        x = 1 << -(-bits // k)
-        while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
-            x = y
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
+    # integer Newton from 2**ceil(bits/k) > root decreases to the floor
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
     return x

@@ -86,7 +86,7 @@ def test_iroot_huge_no_float_loss():
     assert iroot(n, 3) == 10**20 + 39
     assert iroot(n - 1, 3) == 10**20 + 38
     # beyond the float range, and roots far above 2**50 where a float
-    # seed lands millions of units off
+    # seed would land millions of units off
     assert iroot(10**420, 3) == 10**140
     assert iroot(10**420 - 1, 3) == 10**140 - 1
     for n, k in ((10**400, 3), (10**400, 828), (10**70, 3), (10**70 + 1, 5)):
