@@ -113,6 +113,9 @@ def census_cells(n: int, bound: int, norm: str = "box") -> int:
         raise ValueError("dimension and bound must be nonnegative")
     if norm not in ("box", "l2"):
         raise ValueError(f"unknown norm {norm!r}")
+    if norm == "l2" and bound < 1:
+        # the strict bound |A| < 0 admits no matrix, not even zero
+        raise ValueError(f"l2 bound must be at least 1, got {bound}")
     m = n * (n - 1) // 2
     if norm == "box":
         cells = (2 * bound + 1) ** m

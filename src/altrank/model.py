@@ -26,6 +26,7 @@ from .fitting import FitResult, exponent_fit
 from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
+    _alternating_rank,
     _p_exponents,
     cokernel,
     diag_valuations_mod,
@@ -72,11 +73,40 @@ MAX_FLOAT_HEIGHT = int(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
+# uniform draws
+
+
+def _draws(rng: Random, span: int):
+    """Endless iterator of the integers that successive
+    rng.randrange(span) calls would return, for span >= 1.
+
+    A copy of CPython's Random._randbelow_with_getrandbits: getrandbits
+    of span's bit length, redrawn while it is at least span.  Each value
+    is drawn when it is taken, so the RNG state after taking m values is
+    the state after m randrange calls, and iterators over one rng
+    interleave exactly as the calls would.  What this skips is
+    randrange's argument handling and a function call per draw, most of
+    the cost of a draw at the model's small spans.
+    """
+    getrandbits = rng.getrandbits
+    k = span.bit_length()
+    while True:
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        yield r
+
+
+# ---------------------------------------------------------------------------
 # the curve family
 
 
 def curve_height(a4: int, a6: int) -> int:
     return max(abs(4 * a4 * a4 * a4), 27 * a6 * a6)
+
+
+# is_valid_curve trial-divides by 2, 3, ..., MAX_TRIAL_DIVISOR at most
+MAX_TRIAL_DIVISOR = 10**6
 
 
 def is_valid_curve(a4: int, a6: int) -> bool:
@@ -86,16 +116,28 @@ def is_valid_curve(a4: int, a6: int) -> bool:
     Such a p has p^4 | g = gcd(a4, a6), and p^6 | g when a4 = 0 (then
     g = |a6|), so trial division by every integer d from 2 to the 4th
     (6th) root of g suffices: a composite d that passes has a prime
-    factor that passes too.
+    factor that passes too.  Trial division stops at MAX_TRIAL_DIVISOR:
+    a hit answers False, and a root above it with no hit raises
+    ValueError, since settling that is as hard as testing g for a
+    4th (6th) power factor.  A box draw of the curve sampler meets such
+    a g with probability below 1e-23: it needs g > 10**24, or a4 = 0
+    and |a6| > 10**36.
     """
     if 4 * a4 * a4 * a4 + 27 * a6 * a6 == 0:
         return False
     g = math.gcd(a4, a6)
     if g < 16:
         return True
-    for d in range(2, (iroot(g, 4) if a4 else iroot(g, 6)) + 1):
+    root = iroot(g, 4) if a4 else iroot(g, 6)
+    for d in range(2, min(root, MAX_TRIAL_DIVISOR) + 1):
         if a4 % d**4 == 0 and a6 % d**6 == 0:
             return False
+    if root > MAX_TRIAL_DIVISOR:
+        raise ValueError(
+            f"minimality of a curve with a {g.bit_length()}-bit "
+            f"gcd(a4, a6) is not settled by trial division up to "
+            f"MAX_TRIAL_DIVISOR = {MAX_TRIAL_DIVISOR}"
+        )
     return True
 
 
@@ -166,9 +208,10 @@ def _curve_stream(height_cap: int, rng: Random):
             f"no valid curve has height in ({height_cap}/2, {height_cap}]"
         )
     a_max, b_max = _coefficient_box(height_cap)
-    while True:
-        a4 = rng.randint(-a_max, a_max)
-        a6 = rng.randint(-b_max, b_max)
+    # rng.randint(-m, m) is -m + rng.randrange(2*m + 1); zip takes the
+    # a4 draw before the a6 draw, as two randint calls would
+    for r4, r6 in zip(_draws(rng, 2 * a_max + 1), _draws(rng, 2 * b_max + 1)):
+        a4, a6 = r4 - a_max, r6 - b_max
         h = curve_height(a4, a6)
         if 2 * h > height_cap and is_valid_curve(a4, a6):
             yield a4, a6, h
@@ -262,15 +305,51 @@ def model_params(height: int, cfg: ModelConfig, rng: Random) -> ModelParams:
     if height < MIN_HEIGHT:
         raise ValueError(f"height must be at least {MIN_HEIGHT}")
     eta = schedule_eta(height, cfg)
-    return ModelParams(eta, eta + rng.randrange(2), schedule_x(height, eta, cfg))
+    return ModelParams(eta, eta + next(_draws(rng, 2)), schedule_x(height, eta, cfg))
+
+
+def _schedule_interval(height: int, cfg: ModelConfig):
+    """(lo, hi, eta, x) with eta = schedule_eta(h, cfg) and
+    x = schedule_x(h, eta, cfg) for every height h in [lo, hi], an
+    interval that contains `height`; (eta, x) differ at hi + 1, and at
+    lo - 1 unless lo is 0.
+
+    In terms of T = h**num (calibration exponent num/den): under "log3"
+    eta is fixed on [3**(eta*den), 3**((eta+1)*den) - 1], with the lower
+    end dropped at eta_floor, and x = ceil(T**(1/(den*eta))) is fixed on
+    ((x-1)**(den*eta), x**(den*eta)], with the lower end dropped at
+    x_min.  Only the ends come from these formulas; (eta, x) come from
+    the schedule itself.
+    """
+    num = cfg.calibration_exponent.numerator
+    den = cfg.calibration_exponent.denominator
+    eta = schedule_eta(height, cfg)
+    x = schedule_x(height, eta, cfg)
+    d = den * eta
+    t_lo, t_hi = 0, x**d
+    if x > cfg.x_min:
+        t_lo = (x - 1) ** d + 1
+    if cfg.eta_schedule == "log3":
+        t_hi = min(t_hi, 3 ** ((eta + 1) * den) - 1)
+        if eta > cfg.eta_floor:
+            t_lo = max(t_lo, 3 ** (eta * den))
+    # heights h with t_lo <= h**num <= t_hi
+    lo = iroot(t_lo, num)
+    if lo**num < t_lo:
+        lo += 1
+    return lo, iroot(t_hi, num), eta, x
+
+
+def _alternating_upper(n: int, x: int, entries) -> list:
+    """n(n-1)/2 upper entries from `entries` = _draws(rng, 2*x + 1)."""
+    return [r - x for r in islice(entries, n * (n - 1) // 2)]
 
 
 def sample_alternating(n: int, x: int, rng: Random) -> AlternatingMatrix:
     """Entries above the diagonal independent uniform on {-x, ..., x}."""
-    span = 2 * x + 1
-    return AlternatingMatrix(
-        n, tuple(rng.randrange(span) - x for _ in range(n * (n - 1) // 2))
-    )
+    if x < 0:
+        raise ValueError(f"entry bound x must be nonnegative, got {x}")
+    return AlternatingMatrix(n, _alternating_upper(n, x, _draws(rng, 2 * x + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +573,16 @@ def empirical_cl_distribution(
         raise ValueError("need at least one sample")
     counts: Counter = Counter()
     refinement_rounds = 0
-    q0 = p**k
+    digits = _draws(rng, p**k)
+    refinements = _draws(rng, p * p)
     for _ in range(samples):
-        entries = [[rng.randrange(q0) for _ in range(n)] for _ in range(n)]
+        entries = [list(islice(digits, n)) for _ in range(n)]
         prec = k
         while True:
             step = p**prec
             for row in entries:
                 for j in range(n):
-                    row[j] += step * rng.randrange(p * p)
+                    row[j] += step * next(refinements)
             vals = diag_valuations_mod(entries, n, p, prec + 2)
             if None not in vals and all(v <= prec - 2 for v in vals):
                 break
@@ -546,15 +626,22 @@ MAX_SURVEY_RANK = 5
 def _survey_chunk(spec):
     """Count draws with corank >= r (r = 1..5) over one seeded chunk.
 
-    Each sampled curve contributes one model draw at its own height.
-    Module level so process pools can pickle it.
+    Each sampled curve contributes one model draw at its own height,
+    the same draws as model_params and sample_alternating make; (eta, x)
+    is reused while the height stays in its schedule interval.  Module
+    level so process pools can pickle it.
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
     hits = [0] * (MAX_SURVEY_RANK + 1)
+    size_bits = _draws(rng, 2)
+    lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
     for _, _, h in islice(_curve_stream(height_cap, rng), size):
-        params = model_params(h, cfg, rng)
-        corank = kernel_rank(sample_alternating(params.n, params.x, rng))
+        if not lo <= h <= hi:
+            lo, hi, eta, x = _schedule_interval(h, cfg)
+            entries = _draws(rng, 2 * x + 1)
+        n = eta + next(size_bits)
+        corank = n - _alternating_rank(n, _alternating_upper(n, x, entries))
         for r in range(1, min(corank, MAX_SURVEY_RANK) + 1):
             hits[r] += 1
     return hits

@@ -10,6 +10,7 @@ import pytest
 import altrank
 import altrank.cli
 import altrank.counting
+import altrank.model
 from altrank.cli import main, parse_exact_int, parse_int_list
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
@@ -120,6 +121,7 @@ def test_sha_dist_zero_entry_bound_exits_2(tmp_path):
         ["period-scan", "--h-max", "1e320"],
         # 3**15 cells at bound 1 would run first; bound 2 is over the cap
         ["count", "--n", "6", "--norm", "box", "--bounds", "1..4"],
+        ["count", "--n", "3", "--r", "2", "--norm", "l2", "--bounds", "0..5"],
         ["cl-dist", "--n", "-1", "--k", "6", "--samples", "20"],
     ],
 )
@@ -140,6 +142,29 @@ def test_out_of_range_input_exits_2_at_once(tmp_path, args):
 def test_huge_heights_in_float_range_run(tmp_path, args):
     proc = run_cli(args + ["--out", str(tmp_path)], 60)
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
+    # Force the first box draw to a4 = 0, a6 = b_max = isqrt(1e80 // 27),
+    # whose 6th root is past MAX_TRIAL_DIVISOR with no 6th-power factor
+    # below it: the validity test refuses the curve and the run exits 2.
+    spans = []
+
+    def draws(rng, span):
+        # bodies run at the first draw: the a4 iterator's, then a6's
+        spans.append(span)
+        value = span // 2 if len(spans) == 1 else span - 1
+        while True:
+            yield value
+
+    monkeypatch.setattr(altrank.model, "_draws", draws)
+    rc = main(["simulate", "--h-grid", "1e80,1e81,1e82", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MAX_TRIAL_DIVISOR" in err
+    assert len(spans) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

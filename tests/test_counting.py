@@ -130,6 +130,15 @@ def test_box_cap():
 # l2-norm counts
 
 
+def test_l2_bound_below_one_refused():
+    # |A| < 0 admits nothing; refused by name instead of failing in isqrt
+    for call in (census_cells, count_alternating_by_rank):
+        with pytest.raises(ValueError, match="l2 bound"):
+            call(3, 0, "l2")
+    assert count_alternating_by_rank(3, 1, "l2").counts == {0: 1}
+    assert census_cells(3, 0, "box") == 1
+
+
 def test_l2_small_exact():
     # T = 2, n = 3: 2 sum a^2 <= 3 leaves the zero matrix and one
     # nonzero entry equal to +-1

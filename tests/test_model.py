@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from random import Random
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from altrank.linalg import AlternatingMatrix, cokernel, kernel_rank
 from altrank.model import (
+    MAX_TRIAL_DIVISOR,
     MIN_HEIGHT,
     CurveParams,
     EmpiricalDistribution,
@@ -30,6 +31,8 @@ from altrank.model import (
     schedule_x,
     torsion_label,
 )
+from altrank.model import _draws, _schedule_interval, _survey_chunk
+from altrank.parallel import chunk_seed
 from altrank.primes import factorize
 
 
@@ -38,15 +41,17 @@ CFG = ModelConfig()
 
 class BoundedRandom(Random):
     """Random that fails after a fixed number of draws, so that a sampling
-    loop which can never finish fails the test instead of hanging it."""
+    loop which can never finish fails the test instead of hanging it.
+    Every draw, through randrange or the model's own draw helper, ends in
+    getrandbits, so the budget is charged there."""
 
     budget = 10_000
 
-    def randrange(self, *args, **kwargs):
+    def getrandbits(self, k):
         self.budget -= 1
         if self.budget < 0:
             raise RuntimeError("draw budget exhausted")
-        return super().randrange(*args, **kwargs)
+        return super().getrandbits(k)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +87,25 @@ def test_is_valid_curve_minimality():
     assert not is_valid_curve(1009**4 * big4, 1009**6 * big6)
     assert is_valid_curve(1009**4 * big4, 1009**5 * big6)
     assert not is_valid_curve(0, 10**120)
+
+
+def test_is_valid_curve_trial_division_cap():
+    # 6th root exactly at the cap: the search is complete, the answer exact
+    assert MAX_TRIAL_DIVISOR == 10**6
+    assert is_valid_curve(0, 10**36 + 7) == minimal_by_definition(0, 10**36 + 7)
+    # a hit below the cap answers False however large the coefficients
+    assert not is_valid_curve(0, 7**6 * (10**40 + 1))
+    assert not is_valid_curve(3**4 * (10**30 + 1), 3**6 * (10**50 + 3))
+    # no hit and a root past the cap: refused by name, not a guess
+    for a4, a6 in [
+        (0, 10**40 + 1),
+        (0, (MAX_TRIAL_DIVISOR + 3) ** 6),  # non-minimal, past the cap
+        (10**25 + 13, 10**25 + 13),  # 4th root of the gcd past the cap
+    ]:
+        with pytest.raises(ValueError, match="MAX_TRIAL_DIVISOR"):
+            is_valid_curve(a4, a6)
+    with pytest.raises(ValueError, match="MAX_TRIAL_DIVISOR"):
+        CurveParams(0, 10**40 + 1)
 
 
 def minimal_by_definition(a4, a6, extra_primes=()):
@@ -182,6 +206,33 @@ def test_sample_curve_empty_band_raises():
 
 
 # ---------------------------------------------------------------------------
+# the draw helper
+
+
+@pytest.mark.parametrize(
+    "span",
+    [1, 2, 3]
+    + [2**k + e for k in (5, 16, 32) for e in (-1, 0, 1)]
+    + [2**64 + 3, 10**30],
+)
+def test_draws_are_randrange(span):
+    ours, ref = Random(span), Random(span)
+    got = list(islice(_draws(ours, span), 300))
+    assert got == [ref.randrange(span) for _ in range(300)]
+    assert ours.getstate() == ref.getstate()
+
+
+def test_draws_interleave_like_calls():
+    # two iterators over one rng, taken alternately, are randrange calls
+    # alternating between the two spans
+    ours, ref = Random(7), Random(7)
+    small, big = _draws(ours, 5), _draws(ours, 10**30)
+    got = [(next(small), next(big)) for _ in range(200)]
+    assert got == [(ref.randrange(5), ref.randrange(10**30)) for _ in range(200)]
+    assert ours.getstate() == ref.getstate()
+
+
+# ---------------------------------------------------------------------------
 # parameter schedule
 
 
@@ -243,6 +294,55 @@ def test_schedule_constant_mode():
     assert schedule_eta(10**4, cfg) == 3
 
 
+SCHEDULE_CONFIGS = [
+    ModelConfig(),
+    ModelConfig(calibration_exponent="1/6"),
+    ModelConfig(eta_schedule="constant"),
+    ModelConfig(eta_schedule="constant", eta_floor=3, calibration_exponent="1/6"),
+    ModelConfig(eta_floor=4, x_min=3),
+    ModelConfig(eta_floor=1, x_min=7, calibration_exponent="1/6"),
+    # numerator > 1: the interval ends are roots of the T-interval ends
+    ModelConfig(calibration_exponent="5/36"),
+]
+
+
+def _schedule_pair(h, cfg):
+    eta = schedule_eta(h, cfg)
+    return eta, schedule_x(h, eta, cfg)
+
+
+@given(st.integers(MIN_HEIGHT, 10**300), st.sampled_from(SCHEDULE_CONFIGS))
+def test_schedule_interval_is_exact(h, cfg):
+    lo, hi, eta, x = _schedule_interval(h, cfg)
+    assert lo <= h <= hi
+    assert _schedule_pair(h, cfg) == (eta, x)
+    assert _schedule_pair(hi, cfg) == (eta, x)
+    assert _schedule_pair(hi + 1, cfg) != (eta, x)
+    if lo:  # lo = 0: no lower end
+        assert _schedule_pair(lo, cfg) == (eta, x)
+        assert _schedule_pair(lo - 1, cfg) != (eta, x)
+
+
+def test_survey_chunk_matches_public_draws():
+    # The survey reuses (eta, x) across its schedule interval and ranks
+    # the raw entries; it must make the draws model_params and
+    # sample_alternating make.  Band (0.75, 1.5] * 3**36 crosses the
+    # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4).
+    for cap, cfg in [
+        (3**37 // 2, ModelConfig(seed=9)),
+        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3)),
+    ]:
+        rng = Random(chunk_seed(cfg.seed, "survey:0", 0))
+        want = [0] * 6
+        for _ in range(600):
+            c = sample_curve_in_band(cap, rng)
+            p = model_params(c.height, cfg, rng)
+            corank = kernel_rank(sample_alternating(p.n, p.x, rng))
+            for r in range(1, min(corank, 5) + 1):
+                want[r] += 1
+        assert _survey_chunk((cap, 0, 0, 600, cfg)) == want
+
+
 def test_model_config_validation():
     with pytest.raises(TypeError):
         ModelConfig(calibration_exponent=1 / 12)
@@ -291,6 +391,14 @@ def test_sample_alternating_ranges():
         counts[a.upper[0]] = counts.get(a.upper[0], 0) + 1
     for v in (-1, 0, 1):
         assert abs(counts[v] - 7000 / 3) < 4 * math.sqrt(7000 * 2 / 9)
+
+
+def test_sample_alternating_rejects_negative_bound():
+    # span 2x + 1 < 1 would make the draw helper loop forever
+    for x in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_alternating(3, x, BoundedRandom(0))
+    assert sample_alternating(3, 0, Random(0)).upper == (0, 0, 0)
 
 
 def test_torsion_label_and_square_of_cyclic():
