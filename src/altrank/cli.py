@@ -138,6 +138,10 @@ _SCHEMA = {
 # settings passed through to ModelConfig; their defaults are its defaults
 _MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
 
+# sha-dist --method values; both run the one exact route and differ only
+# in the meta.method they record
+_SHA_METHODS = ("exact", "mod")
+
 _GLOBAL_DEFAULTS = {
     "seed": 12345,
     "threads": 1,
@@ -210,6 +214,9 @@ def _resolve_settings(args) -> dict:
     threads = settings["threads"]
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    # a config file bypasses argparse's choices
+    if "method" in settings and settings["method"] not in _SHA_METHODS:
+        raise ValueError(f"unknown method {settings['method']!r}")
     return settings
 
 
@@ -373,7 +380,6 @@ def cmd_sha_dist(settings, emitter) -> int:
         settings["p"],
         settings["samples"],
         Random(settings["seed"]),
-        method=settings["method"],
     )
     reference = _delaunay_reference(dist.counts, settings["p"], settings["r"])
     emitter.json(
@@ -381,7 +387,7 @@ def cmd_sha_dist(settings, emitter) -> int:
         {
             "counts": dist.counts,
             "total": dist.total,
-            "meta": dist.meta,
+            "meta": {**dist.meta, "method": settings["method"]},
             "reference": reference,
             "reference_sum": sum(reference.values()),
             "reference_note": (
@@ -663,7 +669,7 @@ def _direct_sum_orders(divisors):
 
 
 def _verify_snf(settings):
-    stride = max(1, settings["stride"])
+    stride = settings["stride"]
     mismatches = 0
     oracle_bad = 0
     recon_bad = 0
@@ -838,6 +844,9 @@ _SUITES = {
 
 def cmd_verify(settings, emitter) -> int:
     suite = settings["suite"]
+    for key in ("samples", "stride"):
+        if settings[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {settings[key]}")
     checks = _SUITES[suite](settings)
     passed = all(c["passed"] for c in checks)
     for c in checks:
@@ -920,7 +929,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r")
     sp.add_argument("--p")
     sp.add_argument("--samples")
-    sp.add_argument("--method", choices=["exact", "mod"])
+    sp.add_argument(
+        "--method",
+        choices=_SHA_METHODS,
+        help="recorded in meta.method; both values run the one exact route",
+    )
 
     sp = sub.add_parser(
         "cl-dist",

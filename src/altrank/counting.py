@@ -118,13 +118,15 @@ def census_cells(n: int, bound: int, norm: str = "box") -> int:
         raise ValueError(f"l2 bound must be at least 1, got {bound}")
     m = n * (n - 1) // 2
     if norm == "box":
-        cells = (2 * bound + 1) ** m
+        side = 2 * bound + 1
     else:
         # l2: strict bound |A| < bound, i.e. 2 * sum a_ij^2 <= bound^2 - 1
-        cells = (2 * math.isqrt((bound * bound - 1) // 2) + 1) ** m if m else 1
-    if cells > ENUMERATION_CAP:
-        raise CapExceededError(f"{cells} cells exceed cap {ENUMERATION_CAP}")
-    return cells
+        side = 2 * math.isqrt((bound * bound - 1) // 2) + 1
+    # side**m >= 2**m > ENUMERATION_CAP once m passes the cap's bit length,
+    # so a huge power is never formed, nor printed
+    if side > 1 and (m > ENUMERATION_CAP.bit_length() or side**m > ENUMERATION_CAP):
+        raise CapExceededError(f"{side}**{m} cells exceed cap {ENUMERATION_CAP}")
+    return side**m
 
 
 def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHistogram:

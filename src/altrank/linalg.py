@@ -100,17 +100,20 @@ class AlternatingMatrix:
         return -self.upper[_upper_index(self.n, j, i)]
 
     def to_integer_matrix(self) -> IntegerMatrix:
-        n = self.n
-        flat = [0] * (n * n)
-        idx = 0
-        for i in range(n):
-            base = i * n
-            for j in range(i + 1, n):
-                v = self.upper[idx]
-                idx += 1
-                flat[base + j] = v
-                flat[j * n + i] = -v
-        return IntegerMatrix(n, n, tuple(flat))
+        return IntegerMatrix.from_rows(_alternating_rows(self.n, self.upper))
+
+
+def _alternating_rows(n: int, upper) -> list:
+    """Dense rows of the n x n alternating matrix with these upper entries."""
+    rows = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            v = next(entries)
+            ri[j] = v
+            rows[j][i] = -v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -321,16 +324,7 @@ def _alternating_rank(n: int, upper) -> int:
             if _pf4(upper, 6, *c):
                 return 4
         return 2
-    flat = [0] * (n * n)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = upper[idx]
-            idx += 1
-            flat[i * n + j] = v
-            flat[j * n + i] = -v
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return _rank_rows(rows, n, n)
+    return _rank_rows(_alternating_rows(n, upper), n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +454,7 @@ def _smith_core(rows, m: int, n: int, track: bool):
 
 def _as_rows(m) -> tuple:
     if isinstance(m, AlternatingMatrix):
-        m = m.to_integer_matrix()
+        return _alternating_rows(m.n, m.upper), m.n, m.n
     return m.to_rows(), m.n_rows, m.n_cols
 
 
@@ -549,18 +543,14 @@ def _p_valuation(d: int, p: int) -> int:
     return v
 
 
-def _p_exponents(divisors, p: int) -> list:
-    """p-valuations of the invariant factors above 1 (zeros are free rank)."""
-    return [_p_valuation(d, p) for d in divisors if d > 1]
-
-
 def cokernel_p_part(a: AlternatingMatrix, p: int) -> AbelianPGroup:
     """p-primary part of the cokernel torsion, as an exponent partition."""
     from .primes import is_prime
 
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return AbelianPGroup.from_valuations(p, _p_exponents(smith_divisors(a), p))
+    exponents = _corank_p_exponents(a.n, a.upper, p, kernel_rank(a))
+    return AbelianPGroup.from_valuations(p, exponents)
 
 
 def diag_valuations_mod(rows, n: int, p: int, prec: int):
@@ -616,3 +606,30 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
                     ri[j] = (ri[j] - f * rt[j]) % q
         vals.append(best)
     return vals + [None] * (n - len(vals))
+
+
+def _corank_p_exponents(n: int, upper, p: int, r: int):
+    """Positive p-valuations of the invariant factors of the alternating
+    matrix with these upper entries, ascending, when its corank is r;
+    None when it is not.  p must be prime, and the corank at least r,
+    which holds for r = 0, for r = 1 with n odd (an odd alternating
+    matrix is singular), and for r = kernel_rank.
+
+    diag_valuations_mod runs modulo p**10, then p**20, p**40, ...  Every
+    int it returns is the exact valuation of a nonzero invariant factor,
+    so it returns at least corank Nones, and exactly r Nones certify
+    corank r and give every valuation.  At more than r Nones the corank
+    is computed once by elimination: if it is not r the answer is None,
+    and otherwise the precision rises until only r Nones are left, which
+    ends because a nonzero invariant factor has a finite valuation.
+    """
+    rows = _alternating_rows(n, upper)
+    prec = 10
+    vals = diag_valuations_mod(rows, n, p, prec)
+    if vals.count(None) > r:
+        if n - _alternating_rank(n, upper) != r:
+            return None
+        while vals.count(None) > r:
+            prec *= 2
+            vals = diag_valuations_mod(rows, n, p, prec)
+    return [v for v in vals if v]

@@ -27,11 +27,11 @@ from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
     _alternating_rank,
-    _p_exponents,
+    _corank_p_exponents,
     cokernel,
     diag_valuations_mod,
     kernel_rank,
-    smith_divisors,
+    smith_divisors,  # unused here; perfbench's tracer wraps it under this name
 )
 from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
 from .primes import iroot, is_prime
@@ -442,32 +442,6 @@ def empirical_corank_prob(
     return Estimate(p, math.sqrt(p * (1 - p) / samples))
 
 
-def _certified_p_exponents(
-    a: AlternatingMatrix, p: int, corank: int, start_prec: int = 8
-):
-    """Invariant-factor p-valuations through the bounded-precision route.
-
-    One elimination modulo p**(prec+2) is accepted when exactly `corank`
-    diagonals vanish and every other valuation is at most prec-2;
-    otherwise precision is raised.  Every int the kernel returns is
-    exact, and with `corank` Nones the Nones are exactly the zero
-    invariant factors, so an accepted list is the exact one.  The bound
-    prec-2 is stricter than exactness needs; it fixes at which precision
-    each draw is accepted.  Falls back to the exact Smith form if 64
-    bits of precision were not enough (essentially never at sane entry
-    sizes).
-    """
-    base = a.to_integer_matrix().to_rows()
-    prec = start_prec
-    while prec <= 64:
-        vals = diag_valuations_mod(base, a.n, p, prec + 2)
-        finite = [v for v in vals if v is not None]
-        if vals.count(None) == corank and all(v <= prec - 2 for v in finite):
-            return [v for v in finite if v > 0]
-        prec += 2
-    return _p_exponents(smith_divisors(a), p)
-
-
 def empirical_sha_distribution(
     n: int,
     x: int,
@@ -475,15 +449,16 @@ def empirical_sha_distribution(
     p: int,
     samples: int,
     rng: Random,
-    method: str = "exact",
 ) -> EmpiricalDistribution:
     """Distribution of the p-part label of the cokernel torsion among
     draws conditioned on corank exactly r.  `samples` counts accepted
     draws; rejected ones are discarded.
 
-    method "exact" reads valuations off the integer Smith form; "mod"
-    uses the certified bounded-precision path (same answers, faster for
-    large entries).
+    Each draw goes through one exact route, linalg's local Smith kernel
+    modulo a power of p: its count of vanishing diagonals certifies the
+    corank, and its valuations are those of the integer Smith form,
+    which stays the route's oracle in the tests.  Certification draws
+    no random numbers.
     """
     if r not in (0, 1):
         raise ValueError("conditioned corank must be 0 or 1")
@@ -494,10 +469,8 @@ def empirical_sha_distribution(
         raise ValueError("entry bound x must be at least 1")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if method not in ("exact", "mod"):
-        raise ValueError(f"unknown method {method!r}")
     if not is_prime(p):
-        # the mod path inverts units mod p**prec, which needs p prime
+        # the kernel inverts units mod p**prec, which needs p prime
         raise ValueError(f"p must be prime, got {p}")
     counts: Counter = Counter()
     drawn = 0
@@ -505,21 +478,15 @@ def empirical_sha_distribution(
     while kept < samples:
         a = sample_alternating(n, x, rng)
         drawn += 1
-        if method == "exact":
-            divisors = smith_divisors(a)
-            if n - sum(1 for d in divisors if d) != r:
-                continue
-            exponents = _p_exponents(divisors, p)
-        else:
-            if kernel_rank(a) != r:
-                continue
-            exponents = _certified_p_exponents(a, p, r)
+        exponents = _corank_p_exponents(n, a.upper, p, r)
+        if exponents is None:
+            continue
         kept += 1
         counts[group_label(AbelianPGroup.from_valuations(p, exponents))] += 1
     return EmpiricalDistribution(
         dict(sorted(counts.items())),
         samples,
-        meta={"n": n, "x": x, "r": r, "p": p, "draws": drawn, "method": method},
+        meta={"n": n, "x": x, "r": r, "p": p, "draws": drawn},
     )
 
 

@@ -123,12 +123,19 @@ def test_sha_dist_zero_entry_bound_exits_2(tmp_path):
         ["count", "--n", "6", "--norm", "box", "--bounds", "1..4"],
         ["count", "--n", "3", "--r", "2", "--norm", "l2", "--bounds", "0..5"],
         ["cl-dist", "--n", "-1", "--k", "6", "--samples", "20"],
+        # verify must not pass without running a check
+        ["verify", "lattice", "--samples", "0"],
+        ["verify", "lattice", "--samples", "-4"],
+        ["verify", "snf", "--stride", "0"],
+        # the 373-digit cell count 3**780 must not reach stderr
+        ["count", "--n", "40", "--norm", "box", "--bounds", "1..2"],
     ],
 )
 def test_out_of_range_input_exits_2_at_once(tmp_path, args):
     proc = run_cli(args + ["--out", str(tmp_path)], 60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200
     assert list(tmp_path.iterdir()) == []
 
 
@@ -175,6 +182,19 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert "volume" in capsys.readouterr().err
     rc = main(["sha-dist", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
+
+
+def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
+    # a config file bypasses argparse's choices for --method
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = guess\n")
+    out = tmp_path / "out"
+    rc = main(["sha-dist", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "guess" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +379,20 @@ def test_sha_dist_byte_identical_reruns(tmp_path):
     assert main(["sha-dist", "--out", str(a)] + args) == 0
     assert main(["sha-dist", "--out", str(b)] + args) == 0
     assert (a / "sha_dist.json").read_bytes() == (b / "sha_dist.json").read_bytes()
+
+
+def test_sha_dist_methods_write_the_same_table(tmp_path):
+    # both --method values run one route; only meta.method tells them apart
+    args = ["--n", "5", "--x", "2", "--r", "1", "--p", "3", "--samples", "300"]
+    texts = {}
+    for method in ("exact", "mod"):
+        out = tmp_path / method
+        assert main(["sha-dist", "--out", str(out), "--method", method] + args) == 0
+        texts[method] = (out / "sha_dist.json").read_text()
+    assert '"method": "exact"' in texts["exact"]
+    assert texts["mod"] == texts["exact"].replace(
+        '"method": "exact"', '"method": "mod"'
+    )
 
 
 def test_cl_dist_byte_identical_across_hash_seeds(tmp_path):

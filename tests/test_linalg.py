@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
+    _corank_p_exponents,
+    _p_valuation,
     cokernel,
     cokernel_p_part,
     determinant,
@@ -470,10 +472,64 @@ def test_cl_distribution_pinned():
 
 
 def test_sha_distribution_mod_pinned():
-    dist = empirical_sha_distribution(8, 10**4, 0, 2, 200, Random(7), method="mod")
+    dist = empirical_sha_distribution(8, 10**4, 0, 2, 200, Random(7))
     assert dist.counts == {
         "2:[1,1,1,1]": 4, "2:[1,1]": 58, "2:[12,12]": 1, "2:[2,2,1,1]": 2,
         "2:[2,2]": 28, "2:[3,3]": 12, "2:[4,4]": 10, "2:[5,5]": 1,
         "2:[6,6]": 1, "2:[]": 83,
     }
     assert dist.meta["draws"] == 200
+
+
+def test_sha_distribution_exact_pinned():
+    # recorded with integer Smith on every draw (the former default route)
+    dist = empirical_sha_distribution(9, 10**4, 1, 3, 1000, Random(7))
+    assert dist.counts == {"3:[1,1]": 46, "3:[2,2]": 2, "3:[]": 952}
+    assert dist.meta["draws"] == 1000
+    # at x = 1 corank 3 is common, so draws are rejected
+    dist = empirical_sha_distribution(9, 1, 1, 3, 500, Random(7))
+    assert dist.counts == {"3:[1,1]": 16, "3:[]": 484}
+    assert dist.meta["draws"] == 503
+
+
+# ---------------------------------------------------------------------------
+# the exact p-part route of sha-dist and cokernel_p_part
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.sampled_from((1, 2, 3, 10**4)).flatmap(
+            lambda x: st.lists(
+                st.integers(-x, x),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ).map(lambda upper: (n, upper))
+        )
+    ),
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((0, 10)),
+)
+def test_corank_route_equals_smith(matrix, p, shift):
+    # entries scaled by p**10 hide every nonzero factor at the first
+    # modulus p**10, so the route must raise the precision
+    n, upper = matrix
+    upper = [v * p**shift for v in upper]
+    divisors = smith_divisors(AlternatingMatrix(n, upper))
+    corank = n - sum(1 for d in divisors if d)
+    want = [_p_valuation(d, p) for d in divisors if d and d % p == 0]
+    assert _corank_p_exponents(n, upper, p, corank) == want
+    # any r below the corank with its parity is refused
+    for r in range(corank - 2, -1, -2):
+        assert _corank_p_exponents(n, upper, p, r) is None
+
+
+def test_corank_route_raises_precision():
+    # factors hidden at the first modulus p**10; p**25 is hidden at
+    # p**20 too and needs p**40
+    for p in (2, 3, 5):
+        assert _corank_p_exponents(2, [p**10], p, 0) == [10, 10]
+        assert _corank_p_exponents(2, [-(p**25) * 7], p, 0) == [25, 25]
+        assert _corank_p_exponents(3, [p**12, 0, 0], p, 1) == [12, 12]
+    assert _corank_p_exponents(2, [0], 2, 0) is None
+    assert _corank_p_exponents(3, [0, 0, 0], 2, 1) is None

@@ -6,7 +6,14 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from altrank.linalg import AlternatingMatrix, cokernel, kernel_rank
+from altrank.groups import AbelianPGroup, group_label
+from altrank.linalg import (
+    AlternatingMatrix,
+    _p_valuation,
+    cokernel,
+    kernel_rank,
+    smith_divisors,
+)
 from altrank.model import (
     MAX_TRIAL_DIVISOR,
     MIN_HEIGHT,
@@ -496,12 +503,10 @@ def brute_torsion_distribution_n2(x, p):
     return {k: c / total for k, c in counts.items()}
 
 
-@pytest.mark.parametrize("method", ["exact", "mod"])
-def test_sha_distribution_n2_vs_census(method):
+def test_sha_distribution_n2_vs_census():
     want = brute_torsion_distribution_n2(3, 2)
-    dist = empirical_sha_distribution(2, 3, 0, 2, 4000, Random(38), method=method)
+    dist = empirical_sha_distribution(2, 3, 0, 2, 4000, Random(38))
     assert dist.total == 4000
-    assert dist.meta["method"] == method
     for label, frac in want.items():
         emp = dist.frequency(label)
         se = math.sqrt(frac * (1 - frac) / 4000)
@@ -509,14 +514,21 @@ def test_sha_distribution_n2_vs_census(method):
 
 
 def test_sha_distribution_methods_agree_statistically():
-    a = empirical_sha_distribution(5, 8, 1, 2, 3000, Random(39), method="exact")
-    b = empirical_sha_distribution(5, 8, 1, 2, 3000, Random(40), method="mod")
-    support = set(a.counts) | set(b.counts)
-    for label in support:
-        fa = a.frequency(label)
-        fb = b.frequency(label)
-        se = math.sqrt(max(fa * (1 - fa), fb * (1 - fb)) / 3000) + 1e-6
-        assert abs(fa - fb) < 5 * se, label
+    # the model's table equals integer Smith's on the same draws
+    dist = empirical_sha_distribution(5, 8, 1, 2, 3000, Random(39))
+    rng = Random(39)
+    want = {}
+    drawn = 0
+    while sum(want.values()) < 3000:
+        divisors = smith_divisors(sample_alternating(5, 8, rng))
+        drawn += 1
+        if 5 - sum(1 for d in divisors if d) != 1:
+            continue
+        exponents = [_p_valuation(d, 2) for d in divisors if d > 1]
+        label = group_label(AbelianPGroup.from_valuations(2, exponents))
+        want[label] = want.get(label, 0) + 1
+    assert dist.counts == want
+    assert dist.meta["draws"] == drawn
 
 
 def test_sha_distribution_validation():
@@ -526,12 +538,10 @@ def test_sha_distribution_validation():
     with pytest.raises(ValueError):
         empirical_sha_distribution(4, 4, 2, 2, 10, rng)  # r not in {0, 1}
     with pytest.raises(ValueError):
-        empirical_sha_distribution(4, 4, 0, 2, 10, rng, method="guess")
-    with pytest.raises(ValueError):
         # x = 0 draws only the zero matrix, which never has corank 0
         empirical_sha_distribution(4, 0, 0, 2, 10, BoundedRandom(0))
     with pytest.raises(ValueError, match="prime"):
-        empirical_sha_distribution(4, 4, 0, 4, 10, rng, method="mod")
+        empirical_sha_distribution(4, 4, 0, 4, 10, rng)
 
 
 def test_square_cyclic_fraction_n2_always_one():
