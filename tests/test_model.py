@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import islice, product
@@ -6,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from altrank.cli import main
 from altrank.groups import AbelianPGroup, group_label
 from altrank.linalg import (
     AlternatingMatrix,
@@ -503,7 +505,10 @@ def brute_torsion_distribution_n2(x, p):
     return {k: c / total for k, c in counts.items()}
 
 
-def test_sha_distribution_n2_vs_census():
+@pytest.mark.parametrize("method", ["exact", "mod"])
+def test_sha_distribution_n2_vs_census(method, tmp_path):
+    # the model matches the census, and sha-dist writes the model's table
+    # under either --method value
     want = brute_torsion_distribution_n2(3, 2)
     dist = empirical_sha_distribution(2, 3, 0, 2, 4000, Random(38))
     assert dist.total == 4000
@@ -511,6 +516,13 @@ def test_sha_distribution_n2_vs_census():
         emp = dist.frequency(label)
         se = math.sqrt(frac * (1 - frac) / 4000)
         assert abs(emp - frac) < 4 * se + 1e-9, label
+    args = ["--n", "2", "--x", "3", "--r", "0", "--p", "2", "--samples", "4000"]
+    args += ["--seed", "38", "--method", method, "--out", str(tmp_path)]
+    assert main(["sha-dist"] + args) == 0
+    written = json.loads((tmp_path / "sha_dist.json").read_text())
+    assert written["counts"] == dist.counts
+    assert written["total"] == 4000
+    assert written["meta"]["method"] == method
 
 
 def test_sha_distribution_methods_agree_statistically():
