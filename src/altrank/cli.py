@@ -211,6 +211,9 @@ def _resolve_settings(args) -> dict:
             settings[key] = parse(flag)
     if hasattr(args, "suite"):
         settings["suite"] = args.suite
+        for key in ("samples", "stride"):
+            if getattr(args, key) is not None and key not in _SUITE_FLAGS[args.suite]:
+                raise ValueError(f"verify {args.suite} does not read --{key}")
     threads = settings["threads"]
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -841,6 +844,9 @@ _SUITES = {
     "period": _verify_period,
 }
 
+# the flags each suite reads; a suite refuses the others, not ignores them
+_SUITE_FLAGS = {"lattice": ("samples",), "snf": ("stride",), "table": (), "period": ()}
+
 
 def cmd_verify(settings, emitter) -> int:
     suite = settings["suite"]
@@ -959,7 +965,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="self-check suites; exit 1 on failure"
     )
     sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--samples")
+    sp.add_argument("--samples", help="random bases for lattice suite")
     sp.add_argument("--stride", help="n=3 exhaustive thinning for snf suite")
 
     sp = sub.add_parser(

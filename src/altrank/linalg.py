@@ -290,41 +290,60 @@ def pfaffian(a: AlternatingMatrix) -> int:
     return pf(tuple(range(n)))
 
 
-def _pf4(up, n, i, j, k, l):
-    return (
-        up[_upper_index(n, i, j)] * up[_upper_index(n, k, l)]
-        - up[_upper_index(n, i, k)] * up[_upper_index(n, j, l)]
-        + up[_upper_index(n, i, l)] * up[_upper_index(n, j, k)]
+def _pf4_table(n: int) -> tuple:
+    """Flat upper indices (ij, kl, ik, jl, il, jk) of every 4x4 principal
+    minor i < j < k < l of an n x n alternating matrix, in combinations
+    order; its Pfaffian is a_ij*a_kl - a_ik*a_jl + a_il*a_jk."""
+    return tuple(
+        tuple(
+            _upper_index(n, s, t)
+            for s, t in ((i, j), (k, l), (i, k), (j, l), (i, l), (j, k))
+        )
+        for i, j, k, l in combinations(range(n), 4)
     )
+
+
+_PF4_5 = _pf4_table(5)
+_PF4_6 = _pf4_table(6)
+# the last five minors of _PF4_6 avoid index 0: they are the minors
+# without 0 and j, for j = 5, 4, 3, 2, 1, along which Pf expands
+_PF4_6_WITH_0, _PF4_6_WITHOUT_0 = _PF4_6[:10], _PF4_6[10:]
 
 
 def _alternating_rank(n: int, upper) -> int:
     """Rank of an alternating matrix given its upper entries.
 
     n <= 6 walks the principal-Pfaffian ladder (rank equals the largest
-    2m with a nonvanishing principal 2m-Pfaffian); larger n falls back
-    to fraction-free elimination on the full matrix.
+    2m with a nonvanishing principal 2m-Pfaffian), reading the 4x4
+    Pfaffians through index tables; n = 6 expands its Pfaffian along
+    row 0, Pf = sum of (-1)**(j+1) * a_0j * Pf(minor without 0 and j).
+    Larger n falls back to fraction-free elimination on the full matrix.
     """
     if not any(upper):
         return 0
     if n <= 3:
         return 2
+    u = upper
     if n == 4:
-        u = upper
         return 4 if u[0] * u[5] - u[1] * u[4] + u[2] * u[3] else 2
     if n == 5:
-        for c in combinations(range(5), 4):
-            if _pf4(upper, 5, *c):
-                return 4
-        return 2
-    if n == 6:
-        if pfaffian(AlternatingMatrix(6, tuple(upper))):
+        quads = _PF4_5
+    elif n == 6:
+        q = [
+            u[a] * u[b] - u[c] * u[d] + u[e] * u[f]
+            for a, b, c, d, e, f in _PF4_6_WITHOUT_0
+        ]
+        if u[0] * q[4] - u[1] * q[3] + u[2] * q[2] - u[3] * q[1] + u[4] * q[0]:
             return 6
-        for c in combinations(range(6), 4):
-            if _pf4(upper, 6, *c):
-                return 4
-        return 2
-    return _rank_rows(_alternating_rows(n, upper), n, n)
+        if any(q):
+            return 4
+        quads = _PF4_6_WITH_0
+    else:
+        return _rank_rows(_alternating_rows(n, upper), n, n)
+    for a, b, c, d, e, f in quads:
+        if u[a] * u[b] - u[c] * u[d] + u[e] * u[f]:
+            return 4
+    return 2
 
 
 # ---------------------------------------------------------------------------

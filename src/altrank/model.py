@@ -181,13 +181,16 @@ def count_curves_exact(height_cap: int, cap: int = 10**8) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def _band_nonempty(height_cap: int) -> bool:
+    # from 1e4 up the (0, a6) ladder alone always lands in the band, so
+    # only the caps below it are searched, and cached
+    return height_cap >= 10_000 or _small_band_nonempty(height_cap)
+
+
+@lru_cache(maxsize=None)
+def _small_band_nonempty(height_cap: int) -> bool:
     # Achievable heights are spaced like 12*a4^2 and 54*a6, so small caps
-    # can have an empty (cap/2, cap] band; above 1e4 the (0, a6) ladder
-    # alone always lands in the band.
-    if height_cap >= 10_000:
-        return True
+    # can have an empty (cap/2, cap] band.
     a_max, b_max = _coefficient_box(height_cap)
     return any(
         2 * curve_height(a4, a6) > height_cap and is_valid_curve(a4, a6)
@@ -199,8 +202,17 @@ def _band_nonempty(height_cap: int) -> bool:
 def _curve_stream(height_cap: int, rng: Random):
     """Endless (a4, a6, height) of independent uniform valid curves with
     height in (height_cap/2, height_cap], by rejection from the
-    coefficient box; the band condition is the exact integer test
-    2*height > height_cap.  The band is checked at the first curve."""
+    coefficient box.  The band is checked at the first curve.
+
+    The band condition 2*height > height_cap is tested on the raw draws:
+    it fails exactly when |a4| <= a_lo = iroot(height_cap // 8, 3) and
+    |a6| <= b_lo = isqrt(height_cap // 54), since 8*|a4|**3 > height_cap
+    iff |a4|**3 > height_cap // 8, and 54*a6**2 > height_cap iff
+    a6**2 > height_cap // 54.  So a draw is dropped when r4 = a4 + a_max
+    lies in [a_max - a_lo, a_max + a_lo] and r6 = a6 + b_max in
+    [b_max - b_lo, b_max + b_lo], and only draws in the band pay for
+    curve_height and is_valid_curve.
+    """
     if height_cap < MIN_HEIGHT:
         raise ValueError(f"band top must be at least {MIN_HEIGHT}")
     if not _band_nonempty(height_cap):
@@ -208,12 +220,17 @@ def _curve_stream(height_cap: int, rng: Random):
             f"no valid curve has height in ({height_cap}/2, {height_cap}]"
         )
     a_max, b_max = _coefficient_box(height_cap)
+    a_lo, b_lo = iroot(height_cap // 8, 3), math.isqrt(height_cap // 54)
+    lo4, hi4 = a_max - a_lo, a_max + a_lo
+    lo6, hi6 = b_max - b_lo, b_max + b_lo
     # rng.randint(-m, m) is -m + rng.randrange(2*m + 1); zip takes the
     # a4 draw before the a6 draw, as two randint calls would
     for r4, r6 in zip(_draws(rng, 2 * a_max + 1), _draws(rng, 2 * b_max + 1)):
+        if lo4 <= r4 <= hi4 and lo6 <= r6 <= hi6:
+            continue
         a4, a6 = r4 - a_max, r6 - b_max
         h = curve_height(a4, a6)
-        if 2 * h > height_cap and is_valid_curve(a4, a6):
+        if is_valid_curve(a4, a6):
             yield a4, a6, h
 
 
@@ -591,7 +608,9 @@ MAX_SURVEY_RANK = 5
 
 
 def _survey_chunk(spec):
-    """Count draws with corank >= r (r = 1..5) over one seeded chunk.
+    """Count draws with corank >= r (r = 1..5) over one seeded chunk:
+    each draw is tallied once by min(corank, 5), and the counts are
+    summed from the top at the end.
 
     Each sampled curve contributes one model draw at its own height,
     the same draws as model_params and sample_alternating make; (eta, x)
@@ -600,7 +619,7 @@ def _survey_chunk(spec):
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
-    hits = [0] * (MAX_SURVEY_RANK + 1)
+    hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by min(corank, 5)
     size_bits = _draws(rng, 2)
     lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
     for _, _, h in islice(_curve_stream(height_cap, rng), size):
@@ -609,9 +628,8 @@ def _survey_chunk(spec):
             entries = _draws(rng, 2 * x + 1)
         n = eta + next(size_bits)
         corank = n - _alternating_rank(n, _alternating_upper(n, x, entries))
-        for r in range(1, min(corank, MAX_SURVEY_RANK) + 1):
-            hits[r] += 1
-    return hits
+        hist[min(corank, MAX_SURVEY_RANK)] += 1
+    return [0] + [sum(hist[r:]) for r in range(1, MAX_SURVEY_RANK + 1)]
 
 
 def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1):

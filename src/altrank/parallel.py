@@ -9,7 +9,6 @@ only, never output.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["CHUNK", "chunk_seed", "chunk_sizes", "map_chunks"]
 
@@ -40,5 +39,9 @@ def map_chunks(fn, specs, threads: int = 1):
     specs = list(specs)
     if threads <= 1 or len(specs) <= 1:
         return [fn(s) for s in specs]
+    # imported here: it pulls in multiprocessing, which a single-process
+    # run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, specs))

@@ -127,6 +127,13 @@ def test_sha_dist_zero_entry_bound_exits_2(tmp_path):
         ["verify", "lattice", "--samples", "0"],
         ["verify", "lattice", "--samples", "-4"],
         ["verify", "snf", "--stride", "0"],
+        # a suite refuses the flags it does not read
+        ["verify", "snf", "--samples", "5"],
+        ["verify", "table", "--samples", "5"],
+        ["verify", "period", "--samples", "5"],
+        ["verify", "lattice", "--stride", "3"],
+        ["verify", "table", "--stride", "3"],
+        ["verify", "period", "--stride", "3"],
         # the 373-digit cell count 3**780 must not reach stderr
         ["count", "--n", "40", "--norm", "box", "--bounds", "1..2"],
     ],
@@ -136,6 +143,14 @@ def test_out_of_range_input_exits_2_at_once(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert len(proc.stderr) < 200
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_names_the_suite_and_flag_it_refuses(tmp_path, capsys):
+    for suite, flag in [("snf", "--samples"), ("table", "--stride")]:
+        assert main(["verify", suite, flag, "5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: verify {suite} does not read {flag}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -438,7 +453,9 @@ def test_simulate_byte_identical_across_threads(tmp_path):
 
 @pytest.mark.parametrize("suite", ["table", "lattice"])
 def test_verify_suites_pass(tmp_path, capsys, suite):
-    rc = main(["verify", suite, "--out", str(tmp_path), "--samples", "60"])
+    # only lattice reads --samples; table refuses it
+    extra = ["--samples", "60"] if suite == "lattice" else []
+    rc = main(["verify", suite, "--out", str(tmp_path), *extra])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
@@ -448,9 +465,7 @@ def test_verify_suites_pass(tmp_path, capsys, suite):
 
 
 def test_verify_snf_thinned(tmp_path, capsys):
-    rc = main(
-        ["verify", "snf", "--out", str(tmp_path), "--stride", "4001", "--samples", "60"]
-    )
+    rc = main(["verify", "snf", "--out", str(tmp_path), "--stride", "4001"])
     assert rc == 0
     report = read_json(tmp_path / "verify_snf.json")
     assert report["passed"] is True

@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
+    _alternating_rank,
+    _alternating_rows,
     _corank_p_exponents,
     _p_valuation,
+    _rank_rows,
     cokernel,
     cokernel_p_part,
     determinant,
@@ -204,6 +207,33 @@ def test_alternating_rank_always_even():
         for _ in range(20):
             a = random_alternating(n, 2, rng)
             assert (n - kernel_rank(a)) % 2 == 0
+
+
+@given(
+    st.sampled_from((5, 6)).flatmap(
+        lambda n: st.sampled_from((2, 10**4)).flatmap(
+            lambda x: st.lists(
+                st.integers(-x, x),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ).map(lambda upper: (n, upper))
+        )
+    )
+)
+def test_pfaffian_ladder_equals_elimination(matrix):
+    # the index-table ladder of n = 5 and 6 against Bareiss elimination
+    n, upper = matrix
+    want = _rank_rows(_alternating_rows(n, upper), n, n)
+    assert _alternating_rank(n, upper) == want
+
+
+def test_pfaffian_ladder_exhaustive_small_entries():
+    # every zero pattern: rank 4 found through one minor only, or only
+    # through minors with (n = 6: without) index 0, is rare in a sample
+    for n, values in ((5, (-1, 0, 1)), (6, (0, 1))):
+        for upper in product(values, repeat=n * (n - 1) // 2):
+            want = _rank_rows(_alternating_rows(n, upper), n, n)
+            assert _alternating_rank(n, upper) == want, upper
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+import altrank.model
 from altrank.cli import main
 from altrank.groups import AbelianPGroup, group_label
 from altrank.linalg import (
@@ -40,8 +41,16 @@ from altrank.model import (
     schedule_x,
     torsion_label,
 )
-from altrank.model import _draws, _schedule_interval, _survey_chunk
+from altrank.model import (
+    _coefficient_box,
+    _curve_stream,
+    _draws,
+    _schedule_interval,
+    _small_band_nonempty,
+    _survey_chunk,
+)
 from altrank.parallel import chunk_seed
+from altrank.periods import period_bound_scan
 from altrank.primes import factorize
 
 
@@ -204,6 +213,50 @@ def test_curve_sequence_pinned():
         (-56036427, -102681405638),
         (12150527377787, 6730793169310134583),
     ]
+
+
+BAND_TEST_CAPS = (
+    list(range(100, 2501))
+    + [8 * a**3 + e for a in range(3, 31) for e in (-1, 0, 1)]
+    + [54 * b**2 + e for b in range(2, 41) for e in (-1, 0, 1)]
+)
+
+
+def test_band_test_on_raw_draws_is_exact(monkeypatch):
+    # The curve stream drops a box draw (r4, r6) when r4 is within a_lo
+    # of a_max and r6 within b_lo of b_max, before any height is formed.
+    # Fed every cell of the box, it must yield exactly the valid curves
+    # with 2 * height > cap, at every cube and square boundary 8*a**3
+    # and 54*b**2 too.
+    axes = iter(())
+
+    def draws(rng, span):
+        # the a4 iterator is made first, then the a6 one
+        return next(axes)
+
+    monkeypatch.setattr(altrank.model, "_draws", draws)
+    for cap in BAND_TEST_CAPS:
+        a_max, b_max = _coefficient_box(cap)
+        box = list(product(range(-a_max, a_max + 1), range(-b_max, b_max + 1)))
+        want = [
+            (a4, a6, curve_height(a4, a6))
+            for a4, a6 in box
+            if 2 * curve_height(a4, a6) > cap and is_valid_curve(a4, a6)
+        ]
+        if not want:  # an empty band is refused at the first curve
+            with pytest.raises(ValueError, match="no valid curve"):
+                next(_curve_stream(cap, None))
+            continue
+        axes = iter([(a4 + a_max for a4, _ in box), (a6 + b_max for _, a6 in box)])
+        assert list(_curve_stream(cap, None)) == want, cap
+
+
+def test_band_cache_holds_small_caps_only():
+    # the period scan draws a fresh cap per sample; caps of 10**4 and
+    # above are answered without the cache
+    before = _small_band_nonempty.cache_info().currsize
+    period_bound_scan((10**4, 10**10), 2000, Random(33))
+    assert _small_band_nonempty.cache_info().currsize == before
 
 
 def test_sample_curve_empty_band_raises():
@@ -657,6 +710,23 @@ def test_rank_survey_hits_pinned():
         182, 30, 2, 0, 0,
         176, 17, 1, 0, 0,
         153, 7, 1, 0, 0,
+    ]
+
+
+def test_rank_survey_benchmark_grid_pinned():
+    # the benchmark survey grid, one chunk of 10**4 curves per band;
+    # recorded before the band test on raw draws and the one-tally chunk
+    recs, _ = rank_survey(
+        [10**k for k in (6, 9, 12, 15, 18, 21, 24)], 10_000, ModelConfig(seed=12345)
+    )
+    assert [rec.hits for rec in recs] == [
+        5992, 1118, 42, 0, 0,
+        5722, 765, 20, 0, 0,
+        5650, 557, 7, 0, 0,
+        5411, 426, 4, 0, 0,
+        5292, 245, 1, 0, 0,
+        5209, 253, 8, 0, 0,
+        5275, 224, 1, 0, 0,
     ]
 
 
