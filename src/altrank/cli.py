@@ -200,20 +200,25 @@ def _read_config_file(path: str):
 def _resolve_settings(args) -> dict:
     settings = dict(_GLOBAL_DEFAULTS)
     settings.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    # where each explicitly given key came from: "--key" or "config key"
+    given = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config):
             if key not in _SCHEMA:
                 raise ValueError(f"unknown config key {key!r}")
             settings[key] = _SCHEMA[key](raw)
+            given[key] = f"config key {key!r}"
     for key, parse in _SCHEMA.items():
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = parse(flag)
+            given[key] = f"--{key}"
     if hasattr(args, "suite"):
         settings["suite"] = args.suite
+        reads = _SUITES[args.suite][1]
         for key in ("samples", "stride"):
-            if getattr(args, key) is not None and key not in _SUITE_FLAGS[args.suite]:
-                raise ValueError(f"verify {args.suite} does not read --{key}")
+            if key in given and key not in reads:
+                raise ValueError(f"verify {args.suite} does not read {given[key]}")
     threads = settings["threads"]
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -837,23 +842,23 @@ def _verify_period(settings):
     ]
 
 
+# each suite's check function and the settings it reads; a suite refuses
+# --samples or --stride (flag or config key) that it does not read
 _SUITES = {
-    "lattice": _verify_lattice,
-    "snf": _verify_snf,
-    "table": _verify_table,
-    "period": _verify_period,
+    "lattice": (_verify_lattice, ("samples",)),
+    "snf": (_verify_snf, ("stride",)),
+    "table": (_verify_table, ()),
+    "period": (_verify_period, ()),
 }
-
-# the flags each suite reads; a suite refuses the others, not ignores them
-_SUITE_FLAGS = {"lattice": ("samples",), "snf": ("stride",), "table": (), "period": ()}
 
 
 def cmd_verify(settings, emitter) -> int:
     suite = settings["suite"]
-    for key in ("samples", "stride"):
+    run, reads = _SUITES[suite]
+    for key in reads:
         if settings[key] < 1:
             raise ValueError(f"{key} must be at least 1, got {settings[key]}")
-    checks = _SUITES[suite](settings)
+    checks = run(settings)
     passed = all(c["passed"] for c in checks)
     for c in checks:
         print(("PASS" if c["passed"] else "FAIL") + f" {c['name']}: {c['detail']}")

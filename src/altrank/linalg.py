@@ -305,9 +305,6 @@ def _pf4_table(n: int) -> tuple:
 
 _PF4_5 = _pf4_table(5)
 _PF4_6 = _pf4_table(6)
-# the last five minors of _PF4_6 avoid index 0: they are the minors
-# without 0 and j, for j = 5, 4, 3, 2, 1, along which Pf expands
-_PF4_6_WITH_0, _PF4_6_WITHOUT_0 = _PF4_6[:10], _PF4_6[10:]
 
 
 def _alternating_rank(n: int, upper) -> int:
@@ -315,9 +312,8 @@ def _alternating_rank(n: int, upper) -> int:
 
     n <= 6 walks the principal-Pfaffian ladder (rank equals the largest
     2m with a nonvanishing principal 2m-Pfaffian), reading the 4x4
-    Pfaffians through index tables; n = 6 expands its Pfaffian along
-    row 0, Pf = sum of (-1)**(j+1) * a_0j * Pf(minor without 0 and j).
-    Larger n falls back to fraction-free elimination on the full matrix.
+    Pfaffians through index tables. Larger n falls back to fraction-free
+    elimination on the full matrix.
     """
     if not any(upper):
         return 0
@@ -329,15 +325,9 @@ def _alternating_rank(n: int, upper) -> int:
     if n == 5:
         quads = _PF4_5
     elif n == 6:
-        q = [
-            u[a] * u[b] - u[c] * u[d] + u[e] * u[f]
-            for a, b, c, d, e, f in _PF4_6_WITHOUT_0
-        ]
-        if u[0] * q[4] - u[1] * q[3] + u[2] * q[2] - u[3] * q[1] + u[4] * q[0]:
+        if pfaffian(AlternatingMatrix(6, tuple(upper))):
             return 6
-        if any(q):
-            return 4
-        quads = _PF4_6_WITH_0
+        quads = _PF4_6
     else:
         return _rank_rows(_alternating_rows(n, upper), n, n)
     for a, b, c, d, e, f in quads:

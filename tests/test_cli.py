@@ -147,11 +147,21 @@ def test_out_of_range_input_exits_2_at_once(tmp_path, args):
 
 
 def test_verify_names_the_suite_and_flag_it_refuses(tmp_path, capsys):
+    out = tmp_path / "out"
     for suite, flag in [("snf", "--samples"), ("table", "--stride")]:
-        assert main(["verify", suite, flag, "5", "--out", str(tmp_path)]) == 2
+        assert main(["verify", suite, flag, "5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: verify {suite} does not read {flag}\n"
-    assert list(tmp_path.iterdir()) == []
+    # the same key from a config file is refused the same way
+    cfg = tmp_path / "verify.cfg"
+    for suite, line in [("table", "samples = 5"), ("table", "stride = 0")]:
+        cfg.write_text(line + "\n")
+        rc = main(["verify", suite, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        key = line.split()[0]
+        err = capsys.readouterr().err
+        assert err == f"error: verify {suite} does not read config key {key!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
