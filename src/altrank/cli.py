@@ -748,19 +748,19 @@ def _verify_snf(settings):
     return [
         {
             "name": "divisors-vs-minor-gcds",
-            "passed": mismatches == 0,
+            "passed": mismatches == 0 and checked > 0,
             "detail": f"{checked - mismatches}/{checked} matrices agree "
             f"(n=3 stride {stride})",
         },
         {
             "name": "quotient-enumeration-oracle",
-            "passed": oracle_bad == 0,
+            "passed": oracle_bad == 0 and oracle_checked > 0,
             "detail": f"{oracle_checked - oracle_bad}/{oracle_checked} "
             "full-rank quotients match element-order multisets",
         },
         {
             "name": "transform-reconstruction",
-            "passed": recon_bad == 0,
+            "passed": recon_bad == 0 and recon_checked > 0,
             "detail": f"{recon_checked - recon_bad}/{recon_checked} have "
             "U*A*V diagonal with the invariant factors",
         },

@@ -9,6 +9,7 @@ immutable wrappers around that storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .groups import AbelianPGroup
@@ -566,11 +567,12 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
     """Smith-form p-valuations of an n x n integer matrix modulo p**prec.
 
     One pass of local elimination over Z/p**prec (Cohen, GTM 138, 2.4):
-    step t moves an entry of least p-valuation v in the trailing block to
-    (t, t), stopping the scan at the first unit, and clears column t
-    below it with the factor (a_it / p**v) * u**-1, u the unit part of
-    the pivot.  Row t needs no clearing: its entries are multiples of
-    the pivot and column t below it is already zero.  The remaining
+    step t picks an entry of least p-valuation v among rows t.. and the
+    columns still active, stopping the scan at the first unit, moves its
+    row to t, clears its column below row t with the factor
+    (a_i / p**v) * u**-1, u the unit part of the pivot, and retires the
+    column.  Row t needs no clearing: its entries are multiples of the
+    pivot and the pivot column below it is already zero.  The remaining
     block stays divisible by p**v, so the values come out nondecreasing.
 
     The Smith form of A mod p**prec is diag(p**min(v_i, prec)), v_i the
@@ -581,15 +583,16 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
     """
     q = p**prec
     rows = [[v % q for v in r] for r in rows]
+    cols = list(range(n))
     vals = []
     for t in range(n):
-        # least valuation in the trailing block; a % p**best is nonzero
+        # least valuation in the remaining block; a % p**best is nonzero
         # exactly when a has a smaller valuation than the best so far
         best, pb = prec, q
         bi = bj = -1
         for i in range(t, n):
             ri = rows[i]
-            for j in range(t, n):
+            for j in cols:
                 a = ri[j]
                 if a % pb:
                     best = _p_valuation(a, p)
@@ -601,20 +604,88 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
         if bi < 0:
             break
         rows[bi], rows[t] = rows[t], rows[bi]
-        if bj != t:
-            for r in rows[t:]:
-                r[bj], r[t] = r[t], r[bj]
+        cols.remove(bj)
         rt = rows[t]
-        inv = pow(rt[t] // pb, -1, q)
+        inv = pow(rt[bj] // pb, -1, q)
         for i in range(t + 1, n):
             ri = rows[i]
-            c = ri[t]
+            c = ri[bj]
             if c:
                 f = c // pb * inv % q
-                for j in range(t + 1, n):
+                for j in cols:
                     ri[j] = (ri[j] - f * rt[j]) % q
         vals.append(best)
     return vals + [None] * (n - len(vals))
+
+
+@lru_cache(maxsize=16)
+def _upper_positions(n: int) -> tuple:
+    """pos[i][j] = _upper_index(n, i, j) for i < j (-1 elsewhere)."""
+    return tuple(
+        tuple(_upper_index(n, i, j) if i < j else -1 for j in range(n))
+        for i in range(n)
+    )
+
+
+def _alternating_valuations_mod(n: int, upper, p: int, prec: int):
+    """Smith-form p-valuations modulo p**prec of the n x n alternating
+    matrix with these upper entries; equal to diag_valuations_mod on its
+    dense rows, but the mirror half is never formed.
+
+    Local elimination by 2x2 pivots (Newman, Integral Matrices, IV;
+    Cohen, GTM 138, 2.4): each step picks an upper entry a = a_ij =
+    u * p**v of least valuation among the remaining indices, stopping
+    the scan at the first unit, and replaces the rest by the Schur
+    complement of the block [[0, a], [-a, 0]]:
+
+        a'_kl = a_kl + (a_kj * a_li - a_ki * a_lj) / a    (k < l).
+
+    Every entry is divisible by p**v, so the division is exact as
+    (a_kj / p**v) * u**-1 * a_li, and the complement is alternating and
+    again divisible by p**v.  The block has Smith form diag(p**v, p**v),
+    so each step appends v twice, in nondecreasing order.  When the
+    remaining block is 0 mod p**prec, one None is returned per remaining
+    index (so always at least one when n is odd).  Entries are carried
+    unreduced between steps and reduced mod p**prec where they are read
+    as multipliers; only residues mod p**prec decide anything.  `upper`
+    is not modified.
+    """
+    q = p**prec
+    a = list(upper)
+    pos = _upper_positions(n)
+    live = list(range(n))
+    vals = []
+    while len(live) > 1:
+        best, pb = prec, q
+        bi = bj = -1
+        for s, i in enumerate(live):
+            pi = pos[i]
+            for j in live[s + 1 :]:
+                e = a[pi[j]]
+                if e % pb:
+                    best = _p_valuation(e, p)
+                    pb, bi, bj = p**best, i, j
+                    if not best:
+                        break
+            if not best:
+                break
+        if bi < 0:
+            break
+        inv = pow(a[pos[bi][bj]] // pb, -1, q)
+        live.remove(bi)
+        live.remove(bj)
+        # columns i and j of the remaining rows: a_ki and a_kj
+        pi, pj = pos[bi], pos[bj]
+        xs = [(a[pos[k][bi]] if k < bi else -a[pi[k]]) % q for k in live]
+        ys = [(a[pos[k][bj]] if k < bj else -a[pj[k]]) % q for k in live]
+        for s, k in enumerate(live):
+            pk = pos[k]
+            fx = xs[s] // pb * inv % q
+            fy = ys[s] // pb * inv % q
+            for l, x, y in zip(live[s + 1 :], xs[s + 1 :], ys[s + 1 :]):
+                a[pk[l]] += fy * x - fx * y
+        vals += (best, best)
+    return vals + [None] * len(live)
 
 
 def _corank_p_exponents(n: int, upper, p: int, r: int):
@@ -624,21 +695,21 @@ def _corank_p_exponents(n: int, upper, p: int, r: int):
     which holds for r = 0, for r = 1 with n odd (an odd alternating
     matrix is singular), and for r = kernel_rank.
 
-    diag_valuations_mod runs modulo p**10, then p**20, p**40, ...  Every
-    int it returns is the exact valuation of a nonzero invariant factor,
-    so it returns at least corank Nones, and exactly r Nones certify
-    corank r and give every valuation.  At more than r Nones the corank
-    is computed once by elimination: if it is not r the answer is None,
-    and otherwise the precision rises until only r Nones are left, which
-    ends because a nonzero invariant factor has a finite valuation.
+    _alternating_valuations_mod runs modulo p**10, then p**20, p**40,
+    ...  Every int it returns is the exact valuation of a nonzero
+    invariant factor, so it returns at least corank Nones, and exactly r
+    Nones certify corank r and give every valuation.  At more than r
+    Nones the corank is computed once by elimination: if it is not r the
+    answer is None, and otherwise the precision rises until only r Nones
+    are left, which ends because a nonzero invariant factor has a finite
+    valuation.
     """
-    rows = _alternating_rows(n, upper)
     prec = 10
-    vals = diag_valuations_mod(rows, n, p, prec)
+    vals = _alternating_valuations_mod(n, upper, p, prec)
     if vals.count(None) > r:
         if n - _alternating_rank(n, upper) != r:
             return None
         while vals.count(None) > r:
             prec *= 2
-            vals = diag_valuations_mod(rows, n, p, prec)
+            vals = _alternating_valuations_mod(n, upper, p, prec)
     return [v for v in vals if v]

@@ -429,6 +429,15 @@ class EmpiricalDistribution:
         return self.counts.get(key, 0) / self.total
 
 
+def _label_counts(p: int, tallies: Counter) -> dict:
+    """Counts per group label, sorted by label, from counts per tuple of
+    valuations; each distinct tuple is labelled once."""
+    counts: Counter = Counter()
+    for vals, c in tallies.items():
+        counts[group_label(AbelianPGroup.from_valuations(p, vals))] += c
+    return dict(sorted(counts.items()))
+
+
 def empirical_corank_prob(
     n: int,
     x: int,
@@ -499,9 +508,9 @@ def empirical_sha_distribution(
         if exponents is None:
             continue
         kept += 1
-        counts[group_label(AbelianPGroup.from_valuations(p, exponents))] += 1
+        counts[tuple(exponents)] += 1
     return EmpiricalDistribution(
-        dict(sorted(counts.items())),
+        _label_counts(p, counts),
         samples,
         meta={"n": n, "x": x, "r": r, "p": p, "draws": drawn},
     )
@@ -577,9 +586,9 @@ def empirical_cl_distribution(
                     "cokernel structure failed to stabilize; this has "
                     "probability around p**-24 and suggests a broken rng"
                 )
-        counts[group_label(AbelianPGroup.from_valuations(p, vals))] += 1
+        counts[tuple(vals)] += 1
     return EmpiricalDistribution(
-        dict(sorted(counts.items())),
+        _label_counts(p, counts),
         samples,
         meta={
             "n": n,

@@ -481,6 +481,18 @@ def test_verify_snf_thinned(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_verify_fails_a_check_that_examined_nothing(tmp_path, capsys, monkeypatch):
+    # with every determinant 0 the quotient oracle examines no matrix,
+    # and a check that ran on nothing must not pass
+    monkeypatch.setattr(altrank.cli, "determinant", lambda m: 0)
+    rc = main(["verify", "snf", "--out", str(tmp_path), "--stride", "4001"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL quotient-enumeration-oracle: 0/0 " in out
+    report = read_json(tmp_path / "verify_snf.json")
+    assert report["passed"] is False
+
+
 def test_verify_period_suite(tmp_path, capsys):
     rc = main(["verify", "period", "--out", str(tmp_path)])
     assert rc == 0

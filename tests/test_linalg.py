@@ -13,6 +13,7 @@ from altrank.linalg import (
     IntegerMatrix,
     _alternating_rank,
     _alternating_rows,
+    _alternating_valuations_mod,
     _corank_p_exponents,
     _p_valuation,
     _rank_rows,
@@ -482,6 +483,74 @@ def test_diag_valuations_leave_input_unchanged():
     rows = [[4, 6], [2, 9]]
     diag_valuations_mod(rows, 2, 2, 3)
     assert rows == [[4, 6], [2, 9]]
+
+
+# ---------------------------------------------------------------------------
+# the 2x2-pivot kernel for alternating matrices
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda n: st.lists(
+            st.integers(-60, 60),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        ).map(lambda upper: (n, upper))
+    ),
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((0, 10)),
+    st.integers(min_value=1, max_value=24),
+)
+def test_alternating_valuations_equal_truncated_smith(matrix, p, shift, prec):
+    # entries scaled by p**10 have every valuation at least 10, so the
+    # kernel returns only Nones at prec <= 10 and the values above it
+    n, upper = matrix
+    upper = [v * p**shift for v in upper]
+    got = _alternating_valuations_mod(n, upper, p, prec)
+    dense = AlternatingMatrix(n, upper).to_integer_matrix()
+    assert got == truncated_valuations(dense, p, prec)
+    assert got == diag_valuations_mod(_alternating_rows(n, upper), n, p, prec)
+
+
+def test_alternating_valuations_exhaustive_4x4():
+    # a 4x4 alternating matrix has invariant factors g, g, h, h: g the
+    # gcd of its entries, h = Pf/g (Pf its Pfaffian, divisible by g**2)
+    def trunc(d, p, prec):
+        v = _p_valuation(d, p) if d else prec
+        return v if v < prec else None
+
+    for upper in product(range(-2, 3), repeat=6):
+        g = math.gcd(*upper)
+        pf = upper[0] * upper[5] - upper[1] * upper[4] + upper[2] * upper[3]
+        h = pf // g if g else 0
+        for p in (2, 3, 5):
+            for prec in range(1, 5):
+                want = [trunc(g, p, prec)] * 2 + [trunc(h, p, prec)] * 2
+                got = _alternating_valuations_mod(4, upper, p, prec)
+                assert got == want, (upper, p, prec)
+
+
+def test_alternating_valuations_leave_input_unchanged():
+    upper = [4, 6, 2, 9, 8, 12]
+    # Pfaffian 18: one unit pair and one pair of 2-valuation 1
+    assert _alternating_valuations_mod(4, upper, 2, 3) == [0, 0, 1, 1]
+    assert _alternating_valuations_mod(4, upper, 2, 1) == [0, 0, None, None]
+    assert upper == [4, 6, 2, 9, 8, 12]
+
+
+def test_corank_route_never_forms_dense_rows(monkeypatch):
+    # the corank check of the second call ranks n = 3 by the Pfaffian
+    # ladder; only n > 6 would rank by elimination on dense rows
+    import altrank.linalg as linalg
+
+    def refuse(*args):
+        raise AssertionError("dense route called")
+
+    monkeypatch.setattr(linalg, "_alternating_rows", refuse)
+    monkeypatch.setattr(linalg, "diag_valuations_mod", refuse)
+    assert _corank_p_exponents(4, [2, 0, 0, 0, 0, 2], 2, 0) == [1, 1, 1, 1]
+    assert _corank_p_exponents(3, [2**12, 0, 0], 2, 1) == [12, 12]
 
 
 # ---------------------------------------------------------------------------
