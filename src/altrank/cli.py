@@ -1,8 +1,10 @@
 """Command-line harness: reproducible experiments with run manifests.
 
 Every data-producing subcommand writes fixed-name outputs plus a
-<name>_manifest.json recording command, claim tag, seed, thread count,
-and the full effective configuration.  All randomness flows from the
+<stem of the first output>_manifest.json recording command, claim tag,
+seed, thread count, and the full effective configuration.  Each command
+is declared once, in `_COMMANDS`; its flags, config keys and manifest
+follow from that entry.  All randomness flows from the
 configured seed (parallel work is seeded per chunk), floats are emitted
 with repr and JSON keys are sorted, so outputs are byte-identical for a
 given seed at any --threads value.  The manifest timestamp is the one
@@ -22,6 +24,7 @@ from itertools import product as iproduct
 from datetime import datetime, timezone
 from fractions import Fraction
 from random import Random
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .counting import (
@@ -138,48 +141,15 @@ _SCHEMA = {
 # settings passed through to ModelConfig; their defaults are its defaults
 _MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
 
-# sha-dist --method values; both run the one exact route and differ only
-# in the meta.method they record
-_SHA_METHODS = ("exact", "mod")
+# the values a config file or flag may give for these keys; --method only
+# records its value in meta.method, since sha-dist has one exact route
+_CHOICES = {"method": ("exact", "mod"), "norm": ("box", "l2")}
 
 _GLOBAL_DEFAULTS = {
     "seed": 12345,
     "threads": 1,
     "out": None,
     **{key: getattr(ModelConfig, key) for key in _MODEL_KEYS},
-}
-
-_COMMAND_DEFAULTS = {
-    "simulate": {
-        "h_grid": [10**6, 10**12, 10**18],
-        "curves_per_band": 10_000,
-    },
-    "sha-dist": {
-        "n": 10,
-        "x": 10**4,
-        "r": 0,
-        "p": 2,
-        "samples": 10_000,
-        "method": "exact",
-    },
-    "cl-dist": {"n": 8, "p": 2, "k": 8, "samples": 100_000},
-    "count": {"n": 3, "r": 2, "norm": "l2", "bounds": list(range(5, 21))},
-    "verify": {"samples": 1000, "stride": 211},
-    "period-scan": {"h_min": 10**4, "h_max": 10**10, "samples": 1000},
-    "predicted-table": {"h_list": [10**i for i in range(10, 16)]},
-}
-
-_CLAIMS = {
-    "simulate": "rank-threshold-exponents",
-    "sha-dist": "sha-distribution-vs-delaunay",
-    "cl-dist": "cokernel-distribution-vs-cohen-lenstra",
-    "count": "alternating-rank-counting-exponents",
-    "verify:lattice": "exact-lattice-identities",
-    "verify:snf": "smith-form-cross-check",
-    "verify:table": "predicted-rank-percentages",
-    "verify:period": "real-period-cross-check",
-    "period-scan": "period-height-envelope",
-    "predicted-table": "predicted-rank-percentages",
 }
 
 
@@ -198,14 +168,19 @@ def _read_config_file(path: str):
 
 
 def _resolve_settings(args) -> dict:
-    settings = dict(_GLOBAL_DEFAULTS)
-    settings.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    command = _COMMANDS.get(args.command)
+    defaults = command.defaults if command else {}
+    settings = {**_GLOBAL_DEFAULTS, **defaults}
     # where each explicitly given key came from: "--key" or "config key"
     given = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config):
             if key not in _SCHEMA:
                 raise ValueError(f"unknown config key {key!r}")
+            # a command reads the global keys and its own defaults;
+            # print-config only displays settings, so it takes any key
+            if command and key not in _GLOBAL_DEFAULTS and key not in defaults:
+                raise ValueError(f"{args.command} does not read config key {key!r}")
             settings[key] = _SCHEMA[key](raw)
             given[key] = f"config key {key!r}"
     for key, parse in _SCHEMA.items():
@@ -215,16 +190,18 @@ def _resolve_settings(args) -> dict:
             given[key] = f"--{key}"
     if hasattr(args, "suite"):
         settings["suite"] = args.suite
-        reads = _SUITES[args.suite][1]
-        for key in ("samples", "stride"):
+        # each suite reads some of verify's defaults and refuses the rest
+        reads = _SUITES[args.suite].reads
+        for key in defaults:
             if key in given and key not in reads:
                 raise ValueError(f"verify {args.suite} does not read {given[key]}")
     threads = settings["threads"]
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     # a config file bypasses argparse's choices
-    if "method" in settings and settings["method"] not in _SHA_METHODS:
-        raise ValueError(f"unknown method {settings['method']!r}")
+    for key, choices in _CHOICES.items():
+        if key in settings and settings[key] not in choices:
+            raise ValueError(f"unknown {key} {settings[key]!r}")
     return settings
 
 
@@ -248,11 +225,14 @@ def _jsonable(v):
 
 class Emitter:
     """Writes outputs under one directory and remembers them so a failed
-    command can remove its partial files."""
+    command can remove its partial files.  `manifest_extra` holds the
+    keys the run manifest adds to the standard ones; `csv` records its
+    header there as csv_columns."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written = []
+        self.manifest_extra = {}
 
     def _path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -264,6 +244,7 @@ class Emitter:
         with open(self._path(name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         self.written.append(name)
+        self.manifest_extra["csv_columns"] = list(header)
 
     def json(self, name: str, payload):
         with open(self._path(name), "w", encoding="utf-8", newline="\n") as fh:
@@ -279,7 +260,9 @@ class Emitter:
                 pass
 
 
-def _write_manifest(emitter, name, command, claim, settings, **extra):
+def _write_manifest(emitter, command, claim, settings):
+    """<stem of the first output>_manifest.json, after the outputs."""
+    stem = os.path.splitext(emitter.written[0])[0]
     payload = {
         "command": command,
         "claim": claim,
@@ -289,9 +272,9 @@ def _write_manifest(emitter, name, command, claim, settings, **extra):
         "threads": settings.get("threads"),
         "config": {k: _jsonable(v) for k, v in sorted(settings.items())},
         "outputs": list(emitter.written),
+        **emitter.manifest_extra,
     }
-    payload.update(extra)
-    emitter.json(name, payload)
+    emitter.json(f"{stem}_manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +316,28 @@ def _cl_reference(labels, p: int) -> dict:
     return out
 
 
-def _tv_distance(counts: dict, total: int, reference: dict) -> float:
+def _distribution_payload(dist, reference, **extra) -> dict:
+    """The body of sha_dist.json and cl_dist.json; `extra` adds keys."""
     # a fixed summation order keeps the float independent of the hash seed
-    support = sorted(set(counts) | set(reference))
-    return 0.5 * sum(
-        abs(counts.get(lbl, 0) / total - reference.get(lbl, 0.0))
+    support = sorted(set(dist.counts) | set(reference))
+    tv = 0.5 * sum(
+        abs(dist.counts.get(lbl, 0) / dist.total - reference.get(lbl, 0.0))
         for lbl in support
     )
+    return {
+        "counts": dist.counts,
+        "total": dist.total,
+        "meta": dist.meta,
+        "reference": reference,
+        "reference_sum": sum(reference.values()),
+        "tv_distance_truncated": tv,
+        **extra,
+    }
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns 0, or 1 for a failed verification; main then
+# writes the run manifest
 
 
 def cmd_simulate(settings, emitter) -> int:
@@ -368,15 +362,7 @@ def cmd_simulate(settings, emitter) -> int:
         [tuple(rec) for rec in records],
         trailer,
     )
-    _write_manifest(
-        emitter,
-        "survey_manifest.json",
-        "simulate",
-        _CLAIMS["simulate"],
-        settings,
-        csv_columns=["h_lo", "h_hi", "r", "samples", "hits", "p_hat", "stderr"],
-        fits={str(r): f._asdict() for r, f in fits.items()},
-    )
+    emitter.manifest_extra["fits"] = {str(r): f._asdict() for r, f in fits.items()}
     return 0
 
 
@@ -392,27 +378,15 @@ def cmd_sha_dist(settings, emitter) -> int:
     reference = _delaunay_reference(dist.counts, settings["p"], settings["r"])
     emitter.json(
         "sha_dist.json",
-        {
-            "counts": dist.counts,
-            "total": dist.total,
-            "meta": {**dist.meta, "method": settings["method"]},
-            "reference": reference,
-            "reference_sum": sum(reference.values()),
-            "reference_note": (
+        _distribution_payload(
+            dist,
+            reference,
+            meta={**dist.meta, "method": settings["method"]},
+            reference_note=(
                 "masses cover only the listed labels; the remainder of the "
                 "limit law sits on larger groups"
             ),
-            "tv_distance_truncated": _tv_distance(
-                dist.counts, dist.total, reference
-            ),
-        },
-    )
-    _write_manifest(
-        emitter,
-        "sha_dist_manifest.json",
-        "sha-dist",
-        _CLAIMS["sha-dist"],
-        settings,
+        ),
     )
     return 0
 
@@ -426,26 +400,7 @@ def cmd_cl_dist(settings, emitter) -> int:
         Random(settings["seed"]),
     )
     reference = _cl_reference(dist.counts, settings["p"])
-    emitter.json(
-        "cl_dist.json",
-        {
-            "counts": dist.counts,
-            "total": dist.total,
-            "meta": dist.meta,
-            "reference": reference,
-            "reference_sum": sum(reference.values()),
-            "tv_distance_truncated": _tv_distance(
-                dist.counts, dist.total, reference
-            ),
-        },
-    )
-    _write_manifest(
-        emitter,
-        "cl_dist_manifest.json",
-        "cl-dist",
-        _CLAIMS["cl-dist"],
-        settings,
-    )
+    emitter.json("cl_dist.json", _distribution_payload(dist, reference))
     return 0
 
 
@@ -479,14 +434,6 @@ def cmd_count(settings, emitter) -> int:
             "target_slope": target,
         },
     )
-    _write_manifest(
-        emitter,
-        "counts_manifest.json",
-        "count",
-        _CLAIMS["count"],
-        settings,
-        csv_columns=["n", "r", "bound", "norm", "count"],
-    )
     return 0
 
 
@@ -502,21 +449,6 @@ def cmd_period_scan(settings, emitter) -> int:
         rows,
     )
     emitter.json("period_scan_summary.json", summary)
-    _write_manifest(
-        emitter,
-        "period_scan_manifest.json",
-        "period-scan",
-        _CLAIMS["period-scan"],
-        settings,
-        csv_columns=[
-            "a4",
-            "a6",
-            "height",
-            "discriminant",
-            "omega",
-            "omega_h_12th",
-        ],
-    )
     return 0
 
 
@@ -526,20 +458,6 @@ def cmd_predicted_table(settings, emitter) -> int:
         "predicted_table.csv",
         ["h", "rank0_pct", "rank1_pct", "rank2_even_pct", "rank3_odd_pct"],
         rows,
-    )
-    _write_manifest(
-        emitter,
-        "predicted_table_manifest.json",
-        "predicted-table",
-        _CLAIMS["predicted-table"],
-        settings,
-        csv_columns=[
-            "h",
-            "rank0_pct",
-            "rank1_pct",
-            "rank2_even_pct",
-            "rank3_odd_pct",
-        ],
     )
     return 0
 
@@ -842,23 +760,29 @@ def _verify_period(settings):
     ]
 
 
-# each suite's check function and the settings it reads; a suite refuses
-# --samples or --stride (flag or config key) that it does not read
+class _Suite(NamedTuple):
+    run: Callable  # settings -> list of check dicts
+    reads: tuple  # the settings it reads, each at least 1
+    claim: str
+
+
+# a suite refuses --samples or --stride (flag or config key) that it does
+# not read
 _SUITES = {
-    "lattice": (_verify_lattice, ("samples",)),
-    "snf": (_verify_snf, ("stride",)),
-    "table": (_verify_table, ()),
-    "period": (_verify_period, ()),
+    "lattice": _Suite(_verify_lattice, ("samples",), "exact-lattice-identities"),
+    "snf": _Suite(_verify_snf, ("stride",), "smith-form-cross-check"),
+    "table": _Suite(_verify_table, (), "predicted-rank-percentages"),
+    "period": _Suite(_verify_period, (), "real-period-cross-check"),
 }
 
 
 def cmd_verify(settings, emitter) -> int:
     suite = settings["suite"]
-    run, reads = _SUITES[suite]
-    for key in reads:
+    spec = _SUITES[suite]
+    for key in spec.reads:
         if settings[key] < 1:
             raise ValueError(f"{key} must be at least 1, got {settings[key]}")
-    checks = run(settings)
+    checks = spec.run(settings)
     passed = all(c["passed"] for c in checks)
     for c in checks:
         print(("PASS" if c["passed"] else "FAIL") + f" {c['name']}: {c['detail']}")
@@ -866,41 +790,85 @@ def cmd_verify(settings, emitter) -> int:
         f"verify_{suite}.json",
         {"suite": suite, "passed": passed, "checks": checks},
     )
-    _write_manifest(
-        emitter,
-        f"verify_{suite}_manifest.json",
-        "verify",
-        _CLAIMS[f"verify:{suite}"],
-        settings,
-    )
     return 0 if passed else 1
+
+
+# ---------------------------------------------------------------------------
+# the command table: parser, defaults, config keys and manifests follow it
+
+
+class _Command(NamedTuple):
+    run: Callable  # (settings, emitter) -> exit code
+    claim: Optional[str]  # None: the claim of the verify suite
+    help: str
+    defaults: dict  # each key is also a flag and a config key
+
+
+_COMMANDS = {
+    "simulate": _Command(
+        cmd_simulate,
+        "rank-threshold-exponents",
+        "height-band rank survey with log-log exponent fits",
+        {"h_grid": [10**6, 10**12, 10**18], "curves_per_band": 10_000},
+    ),
+    "sha-dist": _Command(
+        cmd_sha_dist,
+        "sha-distribution-vs-delaunay",
+        "conditioned cokernel p-part distribution vs its limit law",
+        {"n": 10, "x": 10**4, "r": 0, "p": 2, "samples": 10_000, "method": "exact"},
+    ),
+    "cl-dist": _Command(
+        cmd_cl_dist,
+        "cokernel-distribution-vs-cohen-lenstra",
+        "square-matrix cokernel p-part distribution vs its limit law",
+        {"n": 8, "p": 2, "k": 8, "samples": 100_000},
+    ),
+    "count": _Command(
+        cmd_count,
+        "alternating-rank-counting-exponents",
+        "exact alternating-matrix counts by rank with slope fit",
+        {"n": 3, "r": 2, "norm": "l2", "bounds": list(range(5, 21))},
+    ),
+    "verify": _Command(
+        cmd_verify,
+        None,
+        "self-check suites; exit 1 on failure",
+        {"samples": 1000, "stride": 211},
+    ),
+    "period-scan": _Command(
+        cmd_period_scan,
+        "period-height-envelope",
+        "normalized real periods over random curves",
+        {"h_min": 10**4, "h_max": 10**10, "samples": 1000},
+    ),
+    "predicted-table": _Command(
+        cmd_predicted_table,
+        "predicted-rank-percentages",
+        "closed-form rank-category percentages",
+        {"h_list": [10**i for i in range(10, 16)]},
+    ),
+}
+
+# the help line of a flag, where it has one
+_FLAG_HELP = {
+    ("sha-dist", "method"): "recorded in meta.method; both values run the one exact route",
+    ("count", "bounds"): "comma list or lo..hi",
+    ("verify", "samples"): "random bases for lattice suite",
+    ("verify", "stride"): "n=3 exhaustive thinning for snf suite",
+}
+
+
+def _show(val) -> str:
+    return ",".join(str(v) for v in val) if isinstance(val, list) else str(val)
 
 
 def cmd_print_config(settings) -> int:
     for key in sorted(_GLOBAL_DEFAULTS):
-        val = settings.get(key)
-        if isinstance(val, list):
-            val = ",".join(str(v) for v in val)
-        print(f"{key} = {val}")
-    for command in sorted(_COMMAND_DEFAULTS):
-        parts = []
-        for key, val in sorted(_COMMAND_DEFAULTS[command].items()):
-            if isinstance(val, list):
-                val = ",".join(str(v) for v in val)
-            parts.append(f"{key}={val}")
-        print(f"# {command} defaults: " + " ".join(parts))
+        print(f"{key} = {_show(settings.get(key))}")
+    for name, command in sorted(_COMMANDS.items()):
+        parts = [f"{key}={_show(val)}" for key, val in sorted(command.defaults.items())]
+        print(f"# {name} defaults: " + " ".join(parts))
     return 0
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "sha-dist": cmd_sha_dist,
-    "cl-dist": cmd_cl_dist,
-    "count": cmd_count,
-    "verify": cmd_verify,
-    "period-scan": cmd_period_scan,
-    "predicted-table": cmd_predicted_table,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -916,79 +884,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="alternating-matrix rank and Sha simulation laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="height-band rank survey with log-log exponent fits",
-    )
-    sp.add_argument("--h-grid", dest="h_grid")
-    sp.add_argument("--curves-per-band", dest="curves_per_band")
-    sp.add_argument("--eta-schedule", dest="eta_schedule")
-    sp.add_argument("--eta-floor", dest="eta_floor")
-    sp.add_argument("--x-min", dest="x_min")
-    sp.add_argument("--calibration-exponent", dest="calibration_exponent")
-    sp.add_argument("--chunk")
-
-    sp = sub.add_parser(
-        "sha-dist",
-        parents=[common],
-        help="conditioned cokernel p-part distribution vs its limit law",
-    )
-    sp.add_argument("--n")
-    sp.add_argument("--x")
-    sp.add_argument("--r")
-    sp.add_argument("--p")
-    sp.add_argument("--samples")
-    sp.add_argument(
-        "--method",
-        choices=_SHA_METHODS,
-        help="recorded in meta.method; both values run the one exact route",
-    )
-
-    sp = sub.add_parser(
-        "cl-dist",
-        parents=[common],
-        help="square-matrix cokernel p-part distribution vs its limit law",
-    )
-    sp.add_argument("--n")
-    sp.add_argument("--p")
-    sp.add_argument("--k")
-    sp.add_argument("--samples")
-
-    sp = sub.add_parser(
-        "count",
-        parents=[common],
-        help="exact alternating-matrix counts by rank with slope fit",
-    )
-    sp.add_argument("--n")
-    sp.add_argument("--r")
-    sp.add_argument("--norm", choices=["box", "l2"])
-    sp.add_argument("--bounds", help="comma list or lo..hi")
-
-    sp = sub.add_parser(
-        "verify", parents=[common], help="self-check suites; exit 1 on failure"
-    )
-    sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--samples", help="random bases for lattice suite")
-    sp.add_argument("--stride", help="n=3 exhaustive thinning for snf suite")
-
-    sp = sub.add_parser(
-        "period-scan",
-        parents=[common],
-        help="normalized real periods over random curves",
-    )
-    sp.add_argument("--h-min", dest="h_min")
-    sp.add_argument("--h-max", dest="h_max")
-    sp.add_argument("--samples")
-
-    sp = sub.add_parser(
-        "predicted-table",
-        parents=[common],
-        help="closed-form rank-category percentages",
-    )
-    sp.add_argument("--h-list", dest="h_list")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        keys = list(command.defaults)
+        if name == "simulate":
+            keys += _MODEL_KEYS
+        if name == "verify":
+            sp.add_argument("suite", choices=sorted(_SUITES))
+        for key in keys:
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                choices=_CHOICES.get(key),
+                help=_FLAG_HELP.get((name, key)),
+            )
     sub.add_parser(
         "print-config", parents=[common], help="show effective settings"
     )
@@ -1011,9 +920,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
+    command = _COMMANDS[args.command]
     emitter = Emitter(out_dir)
     try:
-        return _COMMANDS[args.command](settings, emitter)
+        code = command.run(settings, emitter)
+        claim = command.claim or _SUITES[settings["suite"]].claim
+        _write_manifest(emitter, args.command, claim, settings)
+        return code
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         emitter.cleanup()
         print(f"error: {exc}", file=sys.stderr)

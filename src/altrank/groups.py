@@ -242,26 +242,20 @@ def _alternating_pairing_count(p: int, doubled) -> int:
     return total
 
 
-def symplectic_aut_order(
-    s: SymplecticPGroup, method: str = "closed", cap: int = 3**8
-) -> int:
+def symplectic_aut_order(s: SymplecticPGroup) -> int:
     """Count of automorphisms preserving the alternating pairing.
 
-    method="closed" divides the plain automorphism count by the number
-    of nondegenerate alternating pairings (orbit-stabilizer; the action
-    of Aut on pairings is transitive).  method="brute" enumerates and is
-    capped by group order <= cap, raising UnsupportedSizeError beyond.
+    The plain automorphism count divided by the number of nondegenerate
+    alternating pairings (orbit-stabilizer; the action of Aut on
+    pairings is transitive).  `symplectic_aut_order_brute` enumerates
+    the same count for small groups.
     """
-    if method == "closed":
-        g = s.underlying()
-        total = aut_order(g)
-        pairings = _alternating_pairing_count(s.p, g.exponents)
-        if total % pairings:
-            raise AssertionError("pairing count does not divide automorphism count")
-        return total // pairings
-    if method == "brute":
-        return symplectic_aut_order_brute(s, cap=cap)
-    raise ValueError(f"unknown method {method!r}")
+    g = s.underlying()
+    total = aut_order(g)
+    pairings = _alternating_pairing_count(s.p, g.exponents)
+    if total % pairings:
+        raise AssertionError("pairing count does not divide automorphism count")
+    return total // pairings
 
 
 def symplectic_aut_order_brute(s: SymplecticPGroup, cap: int = 3**8) -> int:
@@ -417,9 +411,7 @@ def cl_measure(g: AbelianPGroup, tol: float = 1e-12) -> MeasureValue:
     return MeasureValue(base / aut, tail / aut)._require_unit()
 
 
-def delaunay_measure(
-    s: SymplecticPGroup, r: int, tol: float = 1e-12, method: str = "closed"
-) -> MeasureValue:
+def delaunay_measure(s: SymplecticPGroup, r: int, tol: float = 1e-12) -> MeasureValue:
     """Limit frequency of s under the rank-r alternating cokernel law.
 
     value = #G^(1-r) / #Sp(G) * prod_{i >= r+1} (1 - p^(1-2i)) where G is
@@ -430,7 +422,7 @@ def delaunay_measure(
         raise ValueError("rank must be nonnegative")
     p = s.p
     base, tail = _truncated_product(p, r + 1, 2, -1, tol)
-    sp = symplectic_aut_order(s, method=method)
+    sp = symplectic_aut_order(s)
     order = s.order
     if r == 0:
         scale = order / sp

@@ -149,13 +149,17 @@ class CokernelStructure:
 # rank / determinant (fraction-free elimination)
 
 
-def _rank_rows(rows, m: int, n: int) -> int:
-    """Exact rank by Bareiss-style fraction-free elimination.
+def _rank_rows(rows, m: int, n: int):
+    """(rank, row-swap sign, last pivot) by Bareiss-style fraction-free
+    elimination.
 
     Mutates `rows`.  Column skipping keeps the one-step-delayed divisor
-    exact (entries stay minors of the column-filtered matrix).
+    exact (entries stay minors of the column-filtered matrix).  At full
+    rank of a square matrix no column is skipped, so sign times the
+    last pivot is the determinant.
     """
     r = 0
+    sign = 1
     prev = 1
     for col in range(n):
         piv = -1
@@ -167,6 +171,7 @@ def _rank_rows(rows, m: int, n: int) -> int:
             continue
         if piv != r:
             rows[piv], rows[r] = rows[r], rows[piv]
+            sign = -sign
         rr = rows[r]
         pv = rr[col]
         for i in range(r + 1, m):
@@ -185,14 +190,14 @@ def _rank_rows(rows, m: int, n: int) -> int:
         r += 1
         if r == m:
             break
-    return r
+    return r, sign, prev
 
 
 def rank(m) -> int:
     """Exact rank over the rationals of an IntegerMatrix or AlternatingMatrix."""
     if isinstance(m, AlternatingMatrix):
         return _alternating_rank(m.n, m.upper)
-    return _rank_rows(m.to_rows(), m.n_rows, m.n_cols)
+    return _rank_rows(m.to_rows(), m.n_rows, m.n_cols)[0]
 
 
 def kernel_rank(a: AlternatingMatrix) -> int:
@@ -204,32 +209,8 @@ def determinant(m: IntegerMatrix) -> int:
     if m.n_rows != m.n_cols:
         raise ValueError("determinant needs a square matrix")
     n = m.n_rows
-    if n == 0:
-        return 1
-    rows = m.to_rows()
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = -1
-        for i in range(col, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            rows[piv], rows[col] = rows[col], rows[piv]
-            sign = -sign
-        rr = rows[col]
-        pv = rr[col]
-        for i in range(col + 1, n):
-            ri = rows[i]
-            rv = ri[col]
-            for j in range(col + 1, n):
-                ri[j] = (ri[j] * pv - rv * rr[j]) // prev
-            ri[col] = 0
-        prev = pv
-    return sign * rows[n - 1][n - 1]
+    r, sign, pivot = _rank_rows(m.to_rows(), n, n)
+    return sign * pivot if r == n else 0
 
 
 def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
@@ -330,7 +311,7 @@ def _alternating_rank(n: int, upper) -> int:
             return 6
         quads = _PF4_6
     else:
-        return _rank_rows(_alternating_rows(n, upper), n, n)
+        return _rank_rows(_alternating_rows(n, upper), n, n)[0]
     for a, b, c, d, e, f in quads:
         if u[a] * u[b] - u[c] * u[d] + u[e] * u[f]:
             return 4

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -75,6 +76,139 @@ def test_parse_int_list():
         parse_int_list(" , ")
     with pytest.raises(ValueError):
         parse_int_list("1e10..1e15")  # unit-step span, would explode
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface
+
+_COMMON_FLAGS = [
+    ("--config", "config", None),
+    ("--seed", "seed", None),
+    ("--threads", "threads", None),
+    ("--out", "out", None),
+]
+
+# each subcommand's (flag or None for a positional, dest, choices) in order
+PARSER_SURFACE = {
+    "simulate": [
+        ("--h-grid", "h_grid", None),
+        ("--curves-per-band", "curves_per_band", None),
+        ("--eta-schedule", "eta_schedule", None),
+        ("--eta-floor", "eta_floor", None),
+        ("--x-min", "x_min", None),
+        ("--calibration-exponent", "calibration_exponent", None),
+        ("--chunk", "chunk", None),
+    ],
+    "sha-dist": [
+        ("--n", "n", None),
+        ("--x", "x", None),
+        ("--r", "r", None),
+        ("--p", "p", None),
+        ("--samples", "samples", None),
+        ("--method", "method", ("exact", "mod")),
+    ],
+    "cl-dist": [
+        ("--n", "n", None),
+        ("--p", "p", None),
+        ("--k", "k", None),
+        ("--samples", "samples", None),
+    ],
+    "count": [
+        ("--n", "n", None),
+        ("--r", "r", None),
+        ("--norm", "norm", ("box", "l2")),
+        ("--bounds", "bounds", None),
+    ],
+    "verify": [
+        (None, "suite", ("lattice", "period", "snf", "table")),
+        ("--samples", "samples", None),
+        ("--stride", "stride", None),
+    ],
+    "period-scan": [
+        ("--h-min", "h_min", None),
+        ("--h-max", "h_max", None),
+        ("--samples", "samples", None),
+    ],
+    "predicted-table": [("--h-list", "h_list", None)],
+    "print-config": [],
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = altrank.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {}
+    for name, subparser in sub.choices.items():
+        got[name] = [
+            (
+                "/".join(a.option_strings) or None,
+                a.dest,
+                tuple(a.choices) if a.choices is not None else None,
+            )
+            for a in subparser._actions
+            if a.dest != "help"
+        ]
+    assert got == {name: _COMMON_FLAGS + flags for name, flags in PARSER_SURFACE.items()}
+
+
+# (arguments, first output, claim); the manifest is named after the first
+# output, and a CSV's header is recorded as csv_columns
+MANIFEST_CASES = [
+    (
+        ["simulate", "--h-grid", "1e6,1e8,1e10", "--curves-per-band", "50"],
+        "survey.csv",
+        "rank-threshold-exponents",
+    ),
+    (
+        ["sha-dist", "--n", "2", "--x", "3", "--samples", "50"],
+        "sha_dist.json",
+        "sha-distribution-vs-delaunay",
+    ),
+    (
+        ["cl-dist", "--n", "4", "--k", "6", "--samples", "50"],
+        "cl_dist.json",
+        "cokernel-distribution-vs-cohen-lenstra",
+    ),
+    (
+        ["count", "--n", "3", "--bounds", "2..5"],
+        "counts.csv",
+        "alternating-rank-counting-exponents",
+    ),
+    (["verify", "lattice", "--samples", "5"], "verify_lattice.json", "exact-lattice-identities"),
+    (["verify", "snf", "--stride", "4001"], "verify_snf.json", "smith-form-cross-check"),
+    (["verify", "table"], "verify_table.json", "predicted-rank-percentages"),
+    (["verify", "period"], "verify_period.json", "real-period-cross-check"),
+    (
+        ["period-scan", "--h-max", "1e6", "--samples", "100"],
+        "period_scan.csv",
+        "period-height-envelope",
+    ),
+    (
+        ["predicted-table", "--h-list", "1e10"],
+        "predicted_table.csv",
+        "predicted-rank-percentages",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,first,claim", MANIFEST_CASES, ids=[" ".join(c[0][:2]) for c in MANIFEST_CASES]
+)
+def test_every_command_writes_its_manifest(tmp_path, capsys, args, first, claim):
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    stem = first.rsplit(".", 1)[0]
+    manifest = read_json(tmp_path / f"{stem}_manifest.json")
+    assert manifest["command"] == args[0]
+    assert manifest["claim"] == claim
+    assert manifest["outputs"][0] == first
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        manifest["outputs"] + [f"{stem}_manifest.json"]
+    )
+    if first.endswith(".csv"):
+        header = (tmp_path / first).read_text().split("\n", 1)[0]
+        assert manifest["csv_columns"] == header.split(",")
+    else:
+        assert "csv_columns" not in manifest
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +343,38 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "args,lines",
+    [
+        (["simulate"], ["samples = 5"]),
+        (["sha-dist"], ["stride = 0", "h_grid = 1..3", "k = -7"]),
+        (["sha-dist"], ["k = -7"]),
+        (["cl-dist"], ["method = mod"]),
+        (["count"], ["samples = 5"]),
+        (["verify", "lattice"], ["k = 3"]),
+        (["period-scan"], ["n = 3"]),
+        (["predicted-table"], ["bounds = 1..4"]),
+    ],
+)
+def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(args + ["--config", str(cfg), "--out", str(out)]) == 2
+    key = lines[0].split()[0]
+    err = capsys.readouterr().err
+    assert err == f"error: {args[0]} does not read config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_print_config_takes_any_known_key(tmp_path, capsys):
+    # it only displays settings; the global ones it shows come from the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 3\nstride = 5\nchunk = 7\n")
+    assert main(["print-config", "--config", str(cfg)]) == 0
+    assert "chunk = 7\n" in capsys.readouterr().out
+
+
 def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
     # a config file bypasses argparse's choices for --method
     cfg = tmp_path / "run.cfg"
@@ -219,6 +385,11 @@ def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "guess" in err
+    assert not out.exists()
+    # --norm's choices hold for a config file the same way
+    cfg.write_text("norm = linf\n")
+    assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown norm 'linf'\n"
     assert not out.exists()
 
 
