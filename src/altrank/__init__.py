@@ -1,87 +1,117 @@
 """Simulation laboratory for the alternating-matrix heuristic: exact
 integer linear algebra, group measures, calibrated height sampling,
-rank/Sha statistics, counting experiments, and real-period checks."""
+rank/Sha statistics, counting experiments, and real-period checks.
+
+`import altrank` loads no submodule: each exported name is imported
+from its submodule on first access (PEP 562), so a CLI run pays only
+for the modules its command uses.
+"""
 
 __version__ = "0.1.0"
 
-from .counting import (
-    CapExceededError,
-    CountFit,
-    Estimate,
-    LatticeBasis,
-    RankHistogram,
-    build_wedge_basis,
-    check_det_identity,
-    check_inner_product_identity,
-    count_alternating_by_rank,
-    fit_counting_exponent,
-    gram_det,
-    gram_matrix,
-    squarefree_pfaffian_fraction,
-)
-from .fitting import FitResult, exponent_fit
-from .groups import (
-    AbelianPGroup,
-    MeasureValue,
-    SymplecticPGroup,
-    UnsupportedSizeError,
-    alternating_square_cyclic_density,
-    aut_order,
-    cl_measure,
-    delaunay_measure,
-    group_label,
-    hall_eta,
-    partitions_up_to,
-    square_cyclic_density,
-    symplectic_aut_order,
-    symplectic_support,
-)
-from .linalg import (
-    AlternatingMatrix,
-    CokernelStructure,
-    IntegerMatrix,
-    SmithDecomposition,
-    cokernel,
-    cokernel_p_part,
-    determinant,
-    divisors_from_minors,
-    kernel_rank,
-    pfaffian,
-    rank,
-    smith_divisors,
-    smith_normal_form,
-)
-from .model import (
-    CurveParams,
-    EmpiricalDistribution,
-    ModelConfig,
-    ModelDraw,
-    ModelParams,
-    SurveyRecord,
-    count_curves_exact,
-    curve_height,
-    draw_model,
-    empirical_cl_distribution,
-    empirical_corank_prob,
-    empirical_sha_distribution,
-    empirical_square_cyclic_fraction,
-    is_square_of_cyclic,
-    is_valid_curve,
-    model_params,
-    predicted_table,
-    rank_survey,
-    sample_alternating,
-    sample_curve_in_band,
-    schedule_eta,
-    schedule_x,
-    torsion_label,
-)
-from .periods import (
-    PeriodResult,
-    discriminant,
-    divisor_count,
-    period_bound_scan,
-    real_period,
-    real_period_quadrature,
-)
-from .primes import factorize, iroot, is_prime, is_squarefree, primes_up_to
+_EXPORTS = {
+    "counting": (
+        "CapExceededError",
+        "CountFit",
+        "Estimate",
+        "LatticeBasis",
+        "RankHistogram",
+        "build_wedge_basis",
+        "check_det_identity",
+        "check_inner_product_identity",
+        "count_alternating_by_rank",
+        "fit_counting_exponent",
+        "gram_det",
+        "gram_matrix",
+        "squarefree_pfaffian_fraction",
+    ),
+    "fitting": ("FitResult", "exponent_fit"),
+    "groups": (
+        "AbelianPGroup",
+        "MeasureValue",
+        "SymplecticPGroup",
+        "UnsupportedSizeError",
+        "alternating_square_cyclic_density",
+        "aut_order",
+        "cl_measure",
+        "delaunay_measure",
+        "group_label",
+        "hall_eta",
+        "partitions_up_to",
+        "square_cyclic_density",
+        "symplectic_aut_order",
+        "symplectic_support",
+    ),
+    "linalg": (
+        "AlternatingMatrix",
+        "CokernelStructure",
+        "IntegerMatrix",
+        "SmithDecomposition",
+        "cokernel",
+        "cokernel_p_part",
+        "determinant",
+        "divisors_from_minors",
+        "kernel_rank",
+        "pfaffian",
+        "rank",
+        "smith_divisors",
+        "smith_normal_form",
+    ),
+    "model": (
+        "CurveParams",
+        "EmpiricalDistribution",
+        "ModelConfig",
+        "ModelDraw",
+        "ModelParams",
+        "SurveyRecord",
+        "count_curves_exact",
+        "curve_height",
+        "draw_model",
+        "empirical_cl_distribution",
+        "empirical_corank_prob",
+        "empirical_sha_distribution",
+        "empirical_square_cyclic_fraction",
+        "is_square_of_cyclic",
+        "is_valid_curve",
+        "model_params",
+        "predicted_table",
+        "rank_survey",
+        "sample_alternating",
+        "sample_curve_in_band",
+        "schedule_eta",
+        "schedule_x",
+        "torsion_label",
+    ),
+    "periods": (
+        "PeriodResult",
+        "discriminant",
+        "divisor_count",
+        "period_bound_scan",
+        "real_period",
+        "real_period_quadrature",
+    ),
+    "parallel": (),  # reachable as `altrank.parallel`, as before
+    "primes": ("factorize", "iroot", "is_prime", "is_squarefree", "primes_up_to"),
+}
+
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _SUBMODULE.get(name)
+    if module is None:
+        # a submodule not yet imported, such as `altrank.model`
+        if name in _EXPORTS:
+            return import_module(f".{name}", __name__)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

@@ -21,21 +21,11 @@ import math
 import os
 import sys
 from itertools import product as iproduct
-from datetime import datetime, timezone
 from fractions import Fraction
 from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .counting import (
-    CapExceededError,
-    LatticeBasis,
-    census_cells,
-    check_det_identity,
-    check_inner_product_identity,
-    count_alternating_by_rank,
-    fit_census,
-)
 from .groups import (
     AbelianPGroup,
     SymplecticPGroup,
@@ -63,10 +53,17 @@ from .model import (
     rank_survey,
 )
 from .parallel import map_chunks
-from .periods import period_bound_scan, real_period, real_period_quadrature
+
+# counting and periods are imported inside the commands and suites that
+# use them, datetime inside _write_manifest: every import costs each run
+# start-up time
 
 # ---------------------------------------------------------------------------
 # exact numeric parsing (scientific notation must never round-trip a float)
+
+
+# int() refuses longer decimal strings by default, and str() longer ints
+MAX_INT_DIGITS = 4300
 
 
 def parse_exact_int(value) -> int:
@@ -85,7 +82,14 @@ def parse_exact_int(value) -> int:
         whole, _, frac = mant.partition(".")
         if e < len(frac):
             raise ValueError(f"{value!r} is not an integer")
-        digits = (whole + frac) or "0"
+        digits = (whole + frac).lstrip("0")
+        if not digits:
+            return 0
+        # the digit count is judged before 10**e is formed
+        if len(digits) + e - len(frac) > MAX_INT_DIGITS:
+            raise ValueError(
+                f"integer {str(value)[:30]!r} has more than {MAX_INT_DIGITS} digits"
+            )
         return sign * int(digits) * 10 ** (e - len(frac))
     return sign * int(t)
 
@@ -262,6 +266,8 @@ class Emitter:
 
 def _write_manifest(emitter, command, claim, settings):
     """<stem of the first output>_manifest.json, after the outputs."""
+    from datetime import datetime, timezone
+
     stem = os.path.splitext(emitter.written[0])[0]
     payload = {
         "command": command,
@@ -405,10 +411,14 @@ def cmd_cl_dist(settings, emitter) -> int:
 
 
 def _count_worker(spec):
+    from .counting import count_alternating_by_rank
+
     return count_alternating_by_rank(*spec)
 
 
 def cmd_count(settings, emitter) -> int:
+    from .counting import census_cells, fit_census
+
     n, r, norm = settings["n"], settings["r"], settings["norm"]
     bounds = settings["bounds"]
     for b in bounds:
@@ -438,6 +448,8 @@ def cmd_count(settings, emitter) -> int:
 
 
 def cmd_period_scan(settings, emitter) -> int:
+    from .periods import period_bound_scan
+
     summary, rows = period_bound_scan(
         (settings["h_min"], settings["h_max"]),
         settings["samples"],
@@ -477,7 +489,9 @@ _REFERENCE_PERCENTAGES = {
 }
 
 
-def _random_basis(rng) -> LatticeBasis:
+def _random_basis(rng):
+    from .counting import LatticeBasis
+
     while True:
         rdim = rng.randrange(2, 5)
         ndim = rdim + rng.randrange(0, 3)
@@ -492,6 +506,8 @@ def _random_basis(rng) -> LatticeBasis:
 
 
 def _verify_lattice(settings):
+    from .counting import check_det_identity, check_inner_product_identity
+
     rng = Random(settings["seed"])
     samples = settings["samples"]
     bad_inner = bad_det = 0
@@ -719,6 +735,8 @@ def _verify_table(settings):
 
 
 def _verify_period(settings):
+    from .periods import period_bound_scan, real_period, real_period_quadrature
+
     rng = Random(settings["seed"])
     curves = []
     while len(curves) < 100:

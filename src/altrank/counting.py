@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 from .fitting import FitResult, exponent_fit
+from .frozen import frozen
 from .linalg import (
     AlternatingMatrix,
     IntegerMatrix,
@@ -63,7 +63,7 @@ class CountFit(NamedTuple):
     skipped_bounds: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class RankHistogram:
     n: int
     bound: int
@@ -215,7 +215,7 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeBasis:
     """Tuple of linearly independent integer vectors of equal dimension."""
 

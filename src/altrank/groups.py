@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from .frozen import frozen
 from .primes import is_prime, primes_up_to
 
 __all__ = [
@@ -39,7 +39,7 @@ class UnsupportedSizeError(ValueError):
     """Brute-force enumeration refused: the group order exceeds the cap."""
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianPGroup:
     """Direct sum of Z/p^e over the exponent partition (empty = trivial)."""
 
@@ -71,7 +71,7 @@ class AbelianPGroup:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
+@frozen
 class SymplecticPGroup:
     """base x base-dual with the standard nondegenerate alternating pairing.
 
@@ -96,7 +96,7 @@ class SymplecticPGroup:
         return self.base.order ** 2
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureValue:
     """A numeric value plus a certified bound on the truncation tail."""
 

@@ -2,16 +2,16 @@
 
 All arithmetic is arbitrary-precision and exact.  The hot paths (rank,
 divisor-only Smith reduction, small-dimension alternating rank ladders)
-operate on plain lists of Python ints; the frozen dataclasses are thin
-immutable wrappers around that storage.
+operate on plain lists of Python ints; the `@frozen` value classes are
+thin immutable wrappers around that storage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .frozen import frozen
 from .groups import AbelianPGroup
 
 __all__ = [
@@ -37,7 +37,7 @@ def _upper_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerMatrix:
     """Dense row-major integer matrix of any shape."""
 
@@ -74,7 +74,7 @@ class IntegerMatrix:
         return [list(self.entries[i * n : (i + 1) * n]) for i in range(self.n_rows)]
 
 
-@dataclass(frozen=True)
+@frozen
 class AlternatingMatrix:
     """n x n integer matrix with zero diagonal and a_ji = -a_ij.
 
@@ -117,7 +117,7 @@ def _alternating_rows(n: int, upper) -> list:
     return rows
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     """U @ A @ V = diag(divisors), with U, V unimodular.
 
@@ -130,7 +130,7 @@ class SmithDecomposition:
     divisors: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class CokernelStructure:
     """Shape of Z^n / (column space): free rank plus invariant factors >= 2."""
 

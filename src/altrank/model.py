@@ -14,15 +14,14 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from random import Random
 from typing import NamedTuple, Optional
 
-from .counting import CapExceededError, Estimate, count_alternating_by_rank
 from .fitting import FitResult, exponent_fit
+from .frozen import Factory, frozen
 from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
@@ -35,6 +34,9 @@ from .linalg import (
 )
 from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
 from .primes import iroot, is_prime
+
+# counting is imported inside the three functions that use it, so the
+# survey and the distribution commands never load it
 
 __all__ = [
     "CurveParams",
@@ -141,7 +143,7 @@ def is_valid_curve(a4: int, a6: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class CurveParams:
     a4: int
     a6: int
@@ -167,6 +169,8 @@ def count_curves_exact(height_cap: int, cap: int = 10**8) -> int:
 
     Grows like 0.4845 * height_cap^(5/6) for large caps.
     """
+    from .counting import CapExceededError
+
     if height_cap < 0:
         return 0
     a_max, b_max = _coefficient_box(height_cap)
@@ -244,7 +248,7 @@ def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
 # configuration and the (eta, x) schedule
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelConfig:
     """Knobs of the sampler.
 
@@ -373,7 +377,7 @@ def sample_alternating(n: int, x: int, rng: Random) -> AlternatingMatrix:
 # single draws
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelDraw:
     height: int
     n: int
@@ -413,11 +417,11 @@ def draw_model(height: int, cfg: ModelConfig, rng: Random) -> ModelDraw:
 # empirical distributions
 
 
-@dataclass(frozen=True)
+@frozen
 class EmpiricalDistribution:
     counts: dict
     total: int
-    meta: dict = field(default_factory=dict)
+    meta: dict = Factory(dict)
 
     def __post_init__(self):
         if any(c < 0 for c in self.counts.values()):
@@ -451,6 +455,8 @@ def empirical_corank_prob(
     Exact mode enumerates the whole box (subject to the enumeration
     cap); monte_carlo mode samples and reports a binomial error bar.
     """
+    from .counting import Estimate, count_alternating_by_rank
+
     if r <= 0:
         return Estimate(1.0, 0.0)
     if mode == "exact":
@@ -521,6 +527,8 @@ def empirical_square_cyclic_fraction(
 ) -> Estimate:
     """Fraction of corank-0 draws whose full torsion (all primes, exact
     Smith form) is the square of a cyclic group."""
+    from .counting import Estimate
+
     if n % 2:
         raise ValueError("corank 0 requires even n")
     if x < 1:

@@ -8,14 +8,15 @@ only, never output.
 
 from __future__ import annotations
 
-import hashlib
-
 __all__ = ["CHUNK", "chunk_seed", "chunk_sizes", "map_chunks"]
 
 CHUNK = 20_000
 
 
 def chunk_seed(master: int, label: str, index: int) -> int:
+    # imported here: only seeded chunks need it, and it costs start-up
+    import hashlib
+
     digest = hashlib.sha256(f"{master}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -43,5 +44,6 @@ def map_chunks(fn, specs, threads: int = 1):
     # run never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # fork starts every worker at once, so no more than there are chunks
+    with ProcessPoolExecutor(max_workers=min(threads, len(specs))) as pool:
         return list(pool.map(fn, specs))

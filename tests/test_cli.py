@@ -64,6 +64,30 @@ def test_parse_exact_int_rejects():
             parse_exact_int(bad)
 
 
+def test_parse_exact_int_obeys_the_digit_limit():
+    assert parse_exact_int("1e4299") == 10**4299  # 4300 digits
+    assert parse_exact_int("0e99999999999") == 0
+    for bad in ("1e4300", "1.5e4300", "12e4299", "-1e10000000"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_exact_int(bad)
+
+
+@pytest.mark.parametrize("seed", ["1e5000", "1e10000000"])
+def test_oversized_seed_exits_2_from_flag_and_config(tmp_path, capsys, seed):
+    # refused from the exponent, before any power of ten is formed
+    assert main(["print-config", "--seed", seed]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: integer {seed!r} has more than 4300 digits"
+    ]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    out = tmp_path / "out"
+    args = ["sha-dist", "--config", str(cfg), "--samples", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_parse_int_list():
     assert parse_int_list("5..8") == [5, 6, 7, 8]
     assert parse_int_list("10..10") == [10]
@@ -469,8 +493,8 @@ def test_count_command_census(tmp_path, monkeypatch):
         calls.append(args)
         return census(*args)
 
-    for module in (altrank.cli, altrank.counting):
-        monkeypatch.setattr(module, "count_alternating_by_rank", counted)
+    # cmd_count looks the census up in altrank.counting when it runs
+    monkeypatch.setattr(altrank.counting, "count_alternating_by_rank", counted)
     rc = main(
         [
             "count",
