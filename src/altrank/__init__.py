@@ -22,8 +22,6 @@ _EXPORTS = {
         "count_alternating_by_rank",
         "fit_counting_exponent",
         "gram_det",
-        "gram_matrix",
-        "squarefree_pfaffian_fraction",
     ),
     "fitting": ("FitResult", "exponent_fit"),
     "groups": (
@@ -36,9 +34,7 @@ _EXPORTS = {
         "cl_measure",
         "delaunay_measure",
         "group_label",
-        "hall_eta",
         "partitions_up_to",
-        "square_cyclic_density",
         "symplectic_aut_order",
         "symplectic_support",
     ),
@@ -85,13 +81,12 @@ _EXPORTS = {
     "periods": (
         "PeriodResult",
         "discriminant",
-        "divisor_count",
         "period_bound_scan",
         "real_period",
         "real_period_quadrature",
     ),
     "parallel": (),  # reachable as `altrank.parallel`, as before
-    "primes": ("factorize", "iroot", "is_prime", "is_squarefree", "primes_up_to"),
+    "primes": ("factorize", "iroot", "is_prime", "primes_up_to"),
 }
 
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

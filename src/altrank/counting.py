@@ -21,9 +21,7 @@ from .linalg import (
     _alternating_rank,
     _upper_index,
     determinant,
-    pfaffian,
 )
-from .primes import is_squarefree
 
 __all__ = [
     "CapExceededError",
@@ -35,12 +33,10 @@ __all__ = [
     "count_alternating_by_rank",
     "fit_census",
     "fit_counting_exponent",
-    "gram_matrix",
     "gram_det",
     "build_wedge_basis",
     "check_inner_product_identity",
     "check_det_identity",
-    "squarefree_pfaffian_fraction",
 ]
 
 ENUMERATION_CAP = 10**9
@@ -243,11 +239,6 @@ class LatticeBasis:
         return len(self.vectors[0])
 
 
-def gram_matrix(basis: LatticeBasis) -> IntegerMatrix:
-    vecs = basis.vectors
-    return IntegerMatrix.from_rows([[_dot(u, v) for v in vecs] for u in vecs])
-
-
 def gram_det(basis) -> int:
     # accept a LatticeBasis or a raw sequence of vectors (used during
     # LatticeBasis validation, before the instance exists)
@@ -309,23 +300,3 @@ def check_det_identity(basis: LatticeBasis) -> bool:
     rhs = 2 ** (r * (r - 1) // 2) * gram_det(basis) ** (r - 1)
     return lhs == rhs
 
-
-def squarefree_pfaffian_fraction(n: int, x: int, samples: int, rng) -> Estimate:
-    """Monte Carlo fraction of draws whose |Pfaffian| is squarefree.
-
-    Zero Pfaffians count as not squarefree.  Entries are iid uniform on
-    [-x, x]; n must be even.
-    """
-    if n % 2 or n <= 0:
-        raise ValueError("n must be positive and even")
-    if samples <= 0:
-        raise ValueError("need a positive sample count")
-    m = n * (n - 1) // 2
-    hits = 0
-    for _ in range(samples):
-        upper = tuple(rng.randint(-x, x) for _ in range(m))
-        pf = pfaffian(AlternatingMatrix(n, upper))
-        if pf and is_squarefree(abs(pf)):
-            hits += 1
-    p = hits / samples
-    return Estimate(p, math.sqrt(p * (1.0 - p) / samples))

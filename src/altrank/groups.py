@@ -24,10 +24,8 @@ __all__ = [
     "aut_order_brute",
     "symplectic_aut_order",
     "symplectic_aut_order_brute",
-    "hall_eta",
     "cl_measure",
     "delaunay_measure",
-    "square_cyclic_density",
     "alternating_square_cyclic_density",
     "group_label",
     "partitions_up_to",
@@ -380,29 +378,6 @@ def _truncated_product(p: int, i0: int, coef: int, off: int, tol: float):
         i += 1
 
 
-def hall_eta(p: int, tol: float = 1e-12) -> MeasureValue:
-    """prod_{i>=1} (1 - p^-i)^-1 with tail bound <= tol.
-
-    This is a normalization constant, not a probability: for small p it
-    exceeds 1 (about 3.4627 at p = 2), so no unit-interval check applies.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    value = 1.0
-    i = 1
-    fp = float(p)
-    while True:
-        value *= 1.0 - fp ** (-i)
-        nxt = fp ** (-(i + 1))
-        eta = 1.0 / value
-        tail = eta * math.expm1(4.0 * nxt)
-        if nxt < tol / 10.0 and tail <= tol:
-            return MeasureValue(eta, tail)
-        i += 1
-
-
 def cl_measure(g: AbelianPGroup, tol: float = 1e-12) -> MeasureValue:
     """Limit frequency of g as the p-part of the cokernel of a large
     uniform square p-adic matrix: prod_{i>=1}(1 - p^-i) / #Aut(g)."""
@@ -431,32 +406,6 @@ def delaunay_measure(s: SymplecticPGroup, r: int, tol: float = 1e-12) -> Measure
     return MeasureValue(scale * base, scale * tail)._require_unit()
 
 
-def square_cyclic_density(prime_cutoff: int) -> MeasureValue:
-    """prod_{p <= cutoff} (1 - p^-2 + p^-3) with a prime-zeta tail bound.
-
-    This is a plain Euler product; it is not the limit of the
-    square-of-cyclic fraction of alternating cokernels, which is
-    alternating_square_cyclic_density.  The omitted factors multiply
-    the value by something in [exp(-1/cutoff), 1], since
-    sum_{p > cutoff} |log(1 - p^-2 + p^-3)| <= sum_{n > cutoff} n^-2
-    <= 1/cutoff.
-    """
-    if prime_cutoff < 2:
-        raise ValueError("prime cutoff must be at least 2")
-    value = 1.0
-    for p in primes_up_to(prime_cutoff):
-        fp = float(p)
-        value *= 1.0 - fp**-2 + fp**-3
-    tail = value * (-math.expm1(-1.0 / prime_cutoff))
-    # one-sided truncation: omitted factors lie in (0, 1], so the limit
-    # sits in [value - tail, value] and the unit interval holds as long
-    # as the computed value does; the symmetric bracket check would
-    # spuriously fail at tiny cutoffs
-    if not 0.0 <= value <= 1.0:
-        raise AssertionError(f"value escaped [0, 1]: {value}")
-    return MeasureValue(value, tail)
-
-
 def alternating_square_cyclic_density(prime_cutoff: int) -> MeasureValue:
     """Limit fraction of corank-0 alternating cokernels whose torsion is
     the square of a cyclic group, as a product over p <= cutoff.
@@ -482,7 +431,9 @@ def alternating_square_cyclic_density(prime_cutoff: int) -> MeasureValue:
         base, tail = _truncated_product(p, 2, 2, -1, 1e-16)
         value *= (1.0 + 1.0 / (p**3 - p)) * base
         rel_tail += tail / base
-    # one-sided bracket, as in square_cyclic_density
+    # the limit lies in [value - tail, value], so the value itself must
+    # be in [0, 1]; _require_unit's symmetric check of value + tail would
+    # fail spuriously at small cutoffs, where the tail is large
     if not 0.0 <= value <= 1.0:
         raise AssertionError(f"value escaped [0, 1]: {value}")
     return MeasureValue(value, value * rel_tail)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .counting import CapExceededError
 from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, sample_curve_in_band
-from .primes import factorize
 
 __all__ = [
     "PeriodResult",
@@ -21,7 +19,6 @@ __all__ = [
     "real_period",
     "real_period_quadrature",
     "period_bound_scan",
-    "divisor_count",
 ]
 
 
@@ -221,14 +218,3 @@ def period_bound_scan(h_range, samples: int, rng):
     }
     return summary, rows
 
-
-def divisor_count(m: int, cap: int = 10**18) -> int:
-    """sigma_0(m), the number of positive divisors."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m > cap:
-        raise CapExceededError(f"{m} exceeds factorization cap {cap}")
-    out = 1
-    for e in factorize(m).values():
-        out *= e + 1
-    return out

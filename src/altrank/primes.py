@@ -107,12 +107,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorize(abs(n)).values())
-
-
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, exact."""
     if n < 0:

@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import altrank
 import altrank.cli
 import altrank.counting
 import altrank.model
+import altrank.verify
 from altrank.cli import main, parse_exact_int, parse_int_list
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
@@ -70,6 +73,74 @@ def test_parse_exact_int_obeys_the_digit_limit():
     for bad in ("1e4300", "1.5e4300", "12e4299", "-1e10000000"):
         with pytest.raises(ValueError, match="more than 4300 digits"):
             parse_exact_int(bad)
+
+
+def decimal_integer(text):
+    """The value Decimal reads in `text` if it is a finite integer of at
+    most 4300 digits, else None: the oracle of parse_exact_int."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:
+        return None
+    if not d.is_finite() or d != d.to_integral_value():
+        return None
+    if d and d.adjusted() + 1 > 4300:  # judged before int() forms it
+        return None
+    return int(d)
+
+
+@st.composite
+def numeric_strings(draw):
+    """[sign] digits [. digits] [e [sign] digits], with underscores mixed
+    into the digit runs and any run possibly empty."""
+    sign = st.sampled_from(["", "+", "-"])
+    run = st.text("0123456789_", max_size=8)
+    text = draw(sign) + draw(run)
+    if draw(st.booleans()):
+        text += "." + draw(run)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(sign) + draw(run)
+    return text
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(numeric_strings())
+def test_parse_exact_int_agrees_with_decimal(text):
+    want = decimal_integer(text)
+    if want is None:
+        with pytest.raises(ValueError) as refused:
+            parse_exact_int(text)
+        assert repr(text[:30])[:-1] in str(refused.value)  # names the input
+    else:
+        assert parse_exact_int(text) == want
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # integral values with more fraction digits than the exponent
+        ("100e-2", 1),
+        ("1.50e1", 15),
+        ("0.0e0", 0),
+        ("1.0", 1),
+        # no mantissa digit, or no exponent digit
+        ("e5", None),
+        (".e0", None),
+        ("-e3", None),
+        ("1e", None),
+    ],
+)
+def test_parse_exact_int_regressions(capsys, text, value):
+    if value is None:
+        with pytest.raises(ValueError) as refused:
+            parse_exact_int(text)
+        assert str(refused.value) == f"{text!r} is not an integer"
+        assert main(["print-config", f"--seed={text}"]) == 2
+        assert capsys.readouterr().err == f"error: {text!r} is not an integer\n"
+    else:
+        assert parse_exact_int(text) == value
+        assert main(["print-config", f"--seed={text}"]) == 0
+        assert f"\nseed = {value}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", ["1e5000", "1e10000000"])
@@ -676,10 +747,23 @@ def test_verify_snf_thinned(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_suite_table_names_the_functions_of_verify():
+    # cmd_verify runs altrank.verify.<suite>; the module's public
+    # functions are exactly the suites of cli._SUITES
+    suites = {
+        name
+        for name, obj in vars(altrank.verify).items()
+        if callable(obj)
+        and not name.startswith("_")
+        and getattr(obj, "__module__", None) == altrank.verify.__name__
+    }
+    assert suites == set(altrank.cli._SUITES)
+
+
 def test_verify_fails_a_check_that_examined_nothing(tmp_path, capsys, monkeypatch):
     # with every determinant 0 the quotient oracle examines no matrix,
     # and a check that ran on nothing must not pass
-    monkeypatch.setattr(altrank.cli, "determinant", lambda m: 0)
+    monkeypatch.setattr(altrank.verify, "determinant", lambda m: 0)
     rc = main(["verify", "snf", "--out", str(tmp_path), "--stride", "4001"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from altrank.counting import (
     CapExceededError,
-    Estimate,
     LatticeBasis,
     RankHistogram,
     build_wedge_basis,
@@ -17,8 +16,6 @@ from altrank.counting import (
     count_alternating_by_rank,
     fit_counting_exponent,
     gram_det,
-    gram_matrix,
-    squarefree_pfaffian_fraction,
 )
 from altrank.fitting import exponent_fit
 from altrank.linalg import AlternatingMatrix, kernel_rank
@@ -221,7 +218,6 @@ def test_fit_counting_exponent_needs_bounds():
 
 def test_wedge_basis_explicit_two_vectors():
     basis = LatticeBasis(((2, 0), (1, 3)))
-    assert gram_matrix(basis).to_rows() == [[4, 2], [2, 10]]
     assert gram_det(basis) == 36
     wedges = build_wedge_basis(basis)
     assert len(wedges) == 1
@@ -282,24 +278,3 @@ def test_identities_property(data):
     assert check_inner_product_identity(basis)
     assert check_det_identity(basis)
 
-
-# ---------------------------------------------------------------------------
-# squarefree Pfaffian fraction
-
-
-def test_squarefree_fraction_n2_matches_census():
-    # Pf of a 2x2 draw is its single entry, uniform on [-10, 10]; the
-    # squarefree survivors are the 14 values with |a| in the squarefree
-    # part of 1..10, so the limit is 2/3
-    rng = Random(21)
-    est = squarefree_pfaffian_fraction(2, 10, 20000, rng)
-    assert abs(est.value - 2.0 / 3.0) < 5 * est.stderr + 1e-9
-    assert isinstance(est, Estimate)
-
-
-def test_squarefree_fraction_validation():
-    rng = Random(22)
-    with pytest.raises(ValueError):
-        squarefree_pfaffian_fraction(3, 5, 10, rng)
-    with pytest.raises(ValueError):
-        squarefree_pfaffian_fraction(2, 5, 0, rng)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from mpmath import mp, nprod, power
@@ -15,9 +14,7 @@ from altrank.groups import (
     cl_measure,
     delaunay_measure,
     group_label,
-    hall_eta,
     partitions_up_to,
-    square_cyclic_density,
     symplectic_aut_order,
     symplectic_aut_order_brute,
     symplectic_support,
@@ -182,24 +179,6 @@ def test_symplectic_divides_full_aut():
 # measures against mpmath oracles
 
 
-def test_hall_eta_values():
-    for p, want in [
-        (2, 3.462746619455064),
-        (3, 1.7853123419985342),
-        (5, 1.3152135557353452),
-    ]:
-        got = hall_eta(p)
-        assert abs(got.value - want) <= 1e-12 + got.tail_bound
-        assert got.value > 1  # normalization constant, not a probability
-
-
-def test_hall_eta_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hall_eta(4)
-    with pytest.raises(ValueError):
-        hall_eta(2, tol=0)
-
-
 def test_cl_measure_against_oracle():
     for p in (2, 3, 5):
         phi = mp_phi(p)
@@ -275,27 +254,6 @@ def test_measure_sums_capture_most_mass():
     assert s1 > 0.9999
     assert abs(s0 - 0.9904821464176368) < 1e-10
     assert abs(s1 - 0.9999993360917414) < 1e-10
-
-
-def test_square_cyclic_density_small_cutoff_by_hand():
-    want = 1.0
-    for p in (2, 3, 5, 7):
-        want *= float(Fraction(p**3 - p + 1, p**3))
-    got = square_cyclic_density(10)
-    assert abs(got.value - want) < 1e-15
-    assert got.tail_bound > 0
-
-
-def test_square_cyclic_density_frozen_and_monotone():
-    d = square_cyclic_density(10**5)
-    assert abs(d.value - 0.7485358601911617) < 1e-12
-    prev = 1.0
-    for cutoff in (2, 10, 100, 1000):
-        v = square_cyclic_density(cutoff).value
-        assert v < prev
-        prev = v
-    with pytest.raises(ValueError):
-        square_cyclic_density(1)
 
 
 def test_alternating_square_cyclic_factor_is_summed_delaunay_law():

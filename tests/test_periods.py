@@ -7,12 +7,10 @@ import pytest
 from altrank.periods import (
     PeriodResult,
     discriminant,
-    divisor_count,
     period_bound_scan,
     real_period,
     real_period_quadrature,
 )
-from altrank.counting import CapExceededError
 
 
 def mp_period(a4, a6):
@@ -142,26 +140,6 @@ def test_tolerance_floor():
     with pytest.raises(ValueError):
         real_period(1, 1, tol=5e-13)
     assert isinstance(real_period(1, 1, tol=1e-9), PeriodResult)
-
-
-# ---------------------------------------------------------------------------
-
-
-def test_divisor_count_values():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert divisor_count(64) == 7
-    assert divisor_count(97) == 2
-    assert divisor_count(60) == 12
-    brute = sum(1 for d in range(1, 721) if 720 % d == 0)
-    assert divisor_count(720) == brute
-
-
-def test_divisor_count_validation():
-    with pytest.raises(ValueError):
-        divisor_count(0)
-    with pytest.raises(CapExceededError):
-        divisor_count(10**6, cap=10**5)
 
 
 # ---------------------------------------------------------------------------

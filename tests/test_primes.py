@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from altrank.primes import factorize, iroot, is_prime, is_squarefree, primes_up_to
+from altrank.primes import factorize, iroot, is_prime, primes_up_to
 
 
 def test_primes_up_to_small():
@@ -52,18 +52,6 @@ def test_factorize_semiprime():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
-
-
-def test_is_squarefree():
-    assert is_squarefree(1)
-    assert is_squarefree(-10)
-    assert not is_squarefree(12)
-    assert not is_squarefree(0)
-    sf = [n for n in range(1, 50) if is_squarefree(n)]
-    assert sf == [
-        1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29,
-        30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 46, 47,
-    ]
 
 
 @given(st.integers(min_value=0, max_value=10**500), st.integers(min_value=1, max_value=40))

@@ -15,7 +15,7 @@ from altrank.parallel import map_chunks
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
 
-# every name `altrank` exported when its __init__ imported the submodules
+# every name `altrank` exports, pinned
 EXPORTED = """
 AbelianPGroup AlternatingMatrix CapExceededError CokernelStructure CountFit
 CurveParams EmpiricalDistribution Estimate FitResult IntegerMatrix
@@ -24,21 +24,25 @@ RankHistogram SmithDecomposition SurveyRecord SymplecticPGroup
 UnsupportedSizeError alternating_square_cyclic_density aut_order
 build_wedge_basis check_det_identity check_inner_product_identity cl_measure
 cokernel cokernel_p_part count_alternating_by_rank count_curves_exact
-curve_height delaunay_measure determinant discriminant divisor_count
-divisors_from_minors draw_model empirical_cl_distribution
-empirical_corank_prob empirical_sha_distribution
-empirical_square_cyclic_fraction exponent_fit factorize fit_counting_exponent
-gram_det gram_matrix group_label hall_eta iroot is_prime is_square_of_cyclic
-is_squarefree is_valid_curve kernel_rank model_params partitions_up_to
+curve_height delaunay_measure determinant discriminant divisors_from_minors
+draw_model empirical_cl_distribution empirical_corank_prob
+empirical_sha_distribution empirical_square_cyclic_fraction exponent_fit
+factorize fit_counting_exponent gram_det group_label iroot is_prime
+is_square_of_cyclic is_valid_curve kernel_rank model_params partitions_up_to
 period_bound_scan pfaffian predicted_table primes_up_to rank rank_survey
 real_period real_period_quadrature sample_alternating sample_curve_in_band
-schedule_eta schedule_x smith_divisors smith_normal_form
-square_cyclic_density squarefree_pfaffian_fraction symplectic_aut_order
+schedule_eta schedule_x smith_divisors smith_normal_form symplectic_aut_order
 symplectic_support torsion_label
 """.split()
 
 # loaded by no command that does not use them
-HEAVY = {"dataclasses", "hashlib", "altrank.counting", "altrank.periods"}
+HEAVY = {
+    "dataclasses",
+    "hashlib",
+    "altrank.counting",
+    "altrank.periods",
+    "altrank.verify",
+}
 
 
 def child_modules(code):
@@ -71,6 +75,40 @@ def test_cli_runs_load_no_unused_module(tmp_path):
     assert "altrank.model" in run
     assert (run - bare) & HEAVY == set()
     assert (tmp_path / "sha_dist.json").exists()
+
+
+SUBMODULES = {"altrank.counting", "altrank.periods", "altrank.verify"}
+
+# (argv, modules the run must not load, modules it must load)
+LOAD_CASES = [
+    (
+        ["simulate", "--h-grid", "1e6,1e8,1e10", "--curves-per-band", "20"],
+        SUBMODULES,
+        {"altrank.model"},
+    ),
+    (
+        ["cl-dist", "--n", "4", "--k", "6", "--samples", "5"],
+        SUBMODULES,
+        {"altrank.model"},
+    ),
+    # periods no longer imports counting
+    (["verify", "period"], {"altrank.counting"}, {"altrank.verify", "altrank.periods"}),
+    (["verify", "table"], {"altrank.counting", "altrank.periods"}, {"altrank.verify"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    LOAD_CASES,
+    ids=["simulate", "cl-dist", "verify-period", "verify-table"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, absent, present):
+    run = child_modules(
+        "from altrank.cli import main\n"
+        f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0"
+    )
+    assert run & absent == set()
+    assert present <= run
 
 
 def test_import_altrank_loads_no_submodule():
