@@ -13,7 +13,6 @@ _EXPORTS = {
     "counting": (
         "CapExceededError",
         "CountFit",
-        "Estimate",
         "LatticeBasis",
         "RankHistogram",
         "build_wedge_basis",
@@ -56,6 +55,7 @@ _EXPORTS = {
     "model": (
         "CurveParams",
         "EmpiricalDistribution",
+        "Estimate",
         "ModelConfig",
         "ModelDraw",
         "ModelParams",

@@ -55,7 +55,7 @@ from .parallel import map_chunks
 MAX_INT_DIGITS = 4300
 
 
-def parse_exact_int(value) -> int:
+def parse_exact_int(value: str) -> int:
     """The integer a decimal string names, plain or in scientific notation.
 
     A string is accepted exactly when decimal.Decimal reads it as a
@@ -65,9 +65,7 @@ def parse_exact_int(value) -> int:
     10**18; with a zero mantissa they read as 0 here.)  Any other
     string raises a ValueError that names it.
     """
-    if isinstance(value, int):
-        return value
-    t = str(value).replace("_", "").strip().lower()
+    t = value.replace("_", "").strip().lower()
     sign = -1 if t[:1] == "-" else 1
     mant, e_mark, exp = (t[1:] if t[:1] in ("+", "-") else t).partition("e")
     whole, _, frac = mant.partition(".")
@@ -79,7 +77,7 @@ def parse_exact_int(value) -> int:
     if not mant.isascii():  # digits of other scripts, which int() reads too
         whole, frac = ("".join(str(int(c)) for c in s) for s in (whole, frac))
     # the digit count is judged before int() or 10**shift meets a long string
-    too_long = f"integer {str(value)[:30]!r} has more than {MAX_INT_DIGITS} digits"
+    too_long = f"integer {value[:30]!r} has more than {MAX_INT_DIGITS} digits"
     exp_digits = exp_digits.lstrip("0") or "0"
     if len(exp_digits) > MAX_INT_DIGITS:
         raise ValueError(too_long)
@@ -96,10 +94,8 @@ def parse_exact_int(value) -> int:
     return sign * int(kept) * 10**shift
 
 
-def parse_int_list(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [parse_exact_int(v) for v in value]
-    t = str(value).strip()
+def parse_int_list(value: str) -> list:
+    t = value.strip()
     if ".." in t:
         lo, _, hi = t.partition("..")
         lo, hi = parse_exact_int(lo), parse_exact_int(hi)
@@ -144,19 +140,14 @@ _SCHEMA = {
     "stride": parse_exact_int,
 }
 
-# settings passed through to ModelConfig; their defaults are its defaults
+# simulate's settings passed through to ModelConfig, with its defaults
 _MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
 
 # the values a config file or flag may give for these keys; --method only
 # records its value in meta.method, since sha-dist has one exact route
 _CHOICES = {"method": ("exact", "mod"), "norm": ("box", "l2")}
 
-_GLOBAL_DEFAULTS = {
-    "seed": 12345,
-    "threads": 1,
-    "out": None,
-    **{key: getattr(ModelConfig, key) for key in _MODEL_KEYS},
-}
+_GLOBAL_DEFAULTS = {"seed": 12345, "threads": 1, "out": None}
 
 
 def _read_config_file(path: str):
@@ -529,7 +520,11 @@ _COMMANDS = {
         cmd_simulate,
         "rank-threshold-exponents",
         "height-band rank survey with log-log exponent fits",
-        {"h_grid": [10**6, 10**12, 10**18], "curves_per_band": 10_000},
+        {
+            "h_grid": [10**6, 10**12, 10**18],
+            "curves_per_band": 10_000,
+            **{key: getattr(ModelConfig, key) for key in _MODEL_KEYS},
+        },
     ),
     "sha-dist": _Command(
         cmd_sha_dist,
@@ -606,12 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=command.help)
-        keys = list(command.defaults)
-        if name == "simulate":
-            keys += _MODEL_KEYS
         if name == "verify":
             sp.add_argument("suite", choices=sorted(_SUITES))
-        for key in keys:
+        for key in command.defaults:
             sp.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,

@@ -27,7 +27,6 @@ __all__ = [
     "CapExceededError",
     "RankHistogram",
     "LatticeBasis",
-    "Estimate",
     "CountFit",
     "census_cells",
     "count_alternating_by_rank",
@@ -44,11 +43,6 @@ ENUMERATION_CAP = 10**9
 
 class CapExceededError(ValueError):
     """The requested exact enumeration would visit too many cells."""
-
-
-class Estimate(NamedTuple):
-    value: float
-    stderr: float
 
 
 class CountFit(NamedTuple):
@@ -166,10 +160,10 @@ def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHist
     return RankHistogram(n, bound, norm, dict(counts))
 
 
-def fit_census(points, min_count: int = 20) -> CountFit:
+def fit_census(points) -> CountFit:
     """Log-log slope of census counts against the bound, from at least
     four (bound, count) pairs.  Bounds whose count is zero are skipped
-    and reported.  Points below `min_count` are dropped unless that
+    and reported.  Counts below 20 are dropped unless that
     would leave fewer than three points; then every positive count is
     used.
     """
@@ -177,7 +171,7 @@ def fit_census(points, min_count: int = 20) -> CountFit:
         raise ValueError("need at least four bounds")
     pts = [(b, y) for b, y in points if y]
     skipped = [b for b, y in points if not y]
-    big = [(b, y) for b, y in pts if y >= min_count]
+    big = [(b, y) for b, y in pts if y >= 20]
     used = big if len(big) >= 3 else pts
     if len(used) < 3:
         raise ValueError("too few nonzero counts to fit")
@@ -191,15 +185,12 @@ def fit_census(points, min_count: int = 20) -> CountFit:
     )
 
 
-def fit_counting_exponent(
-    n: int, r: int, bounds, norm: str = "l2", min_count: int = 20
-) -> CountFit:
+def fit_counting_exponent(n: int, r: int, bounds, norm: str = "l2") -> CountFit:
     """fit_census of the rank-r census: l2 mode counts matrices of rank
     exactly r (expected slope n*r/2), box mode rank <= r (expected slope
     n*(n-r)/2)."""
     return fit_census(
-        [(b, count_alternating_by_rank(n, b, norm).fit_count(r)) for b in bounds],
-        min_count,
+        [(b, count_alternating_by_rank(n, b, norm).fit_count(r)) for b in bounds]
     )
 
 

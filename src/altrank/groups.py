@@ -105,8 +105,8 @@ class MeasureValue:
         if self.tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
 
-    def within_unit_interval(self, eps: float = 1e-12) -> bool:
-        return self.value - self.tail_bound >= -eps and self.value + self.tail_bound <= 1 + eps
+    def within_unit_interval(self) -> bool:
+        return self.value - self.tail_bound >= -1e-12 and self.value + self.tail_bound <= 1 + 1e-12
 
     def _require_unit(self) -> "MeasureValue":
         if not self.within_unit_interval():
@@ -140,15 +140,16 @@ def aut_order(g: AbelianPGroup) -> int:
     return out
 
 
-def aut_order_brute(g: AbelianPGroup, cap: int = 1 << 20) -> int:
+def aut_order_brute(g: AbelianPGroup) -> int:
     """Count automorphisms by enumerating every endomorphism matrix.
 
     The (i, j) entry of an endomorphism lives in Hom(Z/p^e_j, Z/p^e_i),
     a cyclic group of order p^min(e_i, e_j); the map is invertible iff
     its reduction mod p is invertible (Nakayama plus finiteness).  Only
-    feasible for tiny groups; raises UnsupportedSizeError beyond `cap`
+    feasible for tiny groups; raises UnsupportedSizeError beyond 2**20
     candidate matrices.
     """
+    cap = 1 << 20
     ex = g.exponents
     m = len(ex)
     if m == 0:
@@ -256,7 +257,7 @@ def symplectic_aut_order(s: SymplecticPGroup) -> int:
     return total // pairings
 
 
-def symplectic_aut_order_brute(s: SymplecticPGroup, cap: int = 3**8) -> int:
+def symplectic_aut_order_brute(s: SymplecticPGroup) -> int:
     """Backtracking count of pairing-preserving automorphisms.
 
     A pairing-preserving endomorphism is injective (nondegeneracy) and
@@ -265,6 +266,7 @@ def symplectic_aut_order_brute(s: SymplecticPGroup, cap: int = 3**8) -> int:
     pairs; the search prunes on every pairing constraint against the
     images already fixed.
     """
+    cap = 3**8
     lam = s.base.exponents
     p = s.p
     order = s.order
@@ -364,8 +366,6 @@ def _truncated_product(p: int, i0: int, coef: int, off: int, tol: float):
     certified tail is below tol.  The tail uses |log(1-x)| <= 2x for
     x <= 1/2 and a geometric sum with ratio p^-coef <= 1/2.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     value = 1.0
     i = i0
     fp = float(p)
@@ -378,15 +378,15 @@ def _truncated_product(p: int, i0: int, coef: int, off: int, tol: float):
         i += 1
 
 
-def cl_measure(g: AbelianPGroup, tol: float = 1e-12) -> MeasureValue:
+def cl_measure(g: AbelianPGroup) -> MeasureValue:
     """Limit frequency of g as the p-part of the cokernel of a large
     uniform square p-adic matrix: prod_{i>=1}(1 - p^-i) / #Aut(g)."""
-    base, tail = _truncated_product(g.p, 1, 1, 0, tol)
+    base, tail = _truncated_product(g.p, 1, 1, 0, 1e-12)
     aut = aut_order(g)
     return MeasureValue(base / aut, tail / aut)._require_unit()
 
 
-def delaunay_measure(s: SymplecticPGroup, r: int, tol: float = 1e-12) -> MeasureValue:
+def delaunay_measure(s: SymplecticPGroup, r: int) -> MeasureValue:
     """Limit frequency of s under the rank-r alternating cokernel law.
 
     value = #G^(1-r) / #Sp(G) * prod_{i >= r+1} (1 - p^(1-2i)) where G is
@@ -396,7 +396,7 @@ def delaunay_measure(s: SymplecticPGroup, r: int, tol: float = 1e-12) -> Measure
     if r < 0:
         raise ValueError("rank must be nonnegative")
     p = s.p
-    base, tail = _truncated_product(p, r + 1, 2, -1, tol)
+    base, tail = _truncated_product(p, r + 1, 2, -1, 1e-12)
     sp = symplectic_aut_order(s)
     order = s.order
     if r == 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from random import Random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .fitting import FitResult, exponent_fit
 from .frozen import Factory, frozen
@@ -29,13 +29,13 @@ from .linalg import (
     _corank_p_exponents,
     cokernel,
     diag_valuations_mod,
-    kernel_rank,
-    smith_divisors,  # unused here; perfbench's tracer wraps it under this name
+    kernel_rank,  # unused here, like smith_divisors: perfbench wraps both
+    smith_divisors,
 )
 from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
 from .primes import iroot, is_prime
 
-# counting is imported inside the three functions that use it, so the
+# counting is imported inside the two functions that use it, so the
 # survey and the distribution commands never load it
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "ModelParams",
     "ModelDraw",
     "EmpiricalDistribution",
+    "Estimate",
     "SurveyRecord",
     "FitResult",
     "curve_height",
@@ -164,13 +165,14 @@ def _coefficient_box(height_cap: int):
     return iroot(height_cap // 4, 3), math.isqrt(height_cap // 27)
 
 
-def count_curves_exact(height_cap: int, cap: int = 10**8) -> int:
+def count_curves_exact(height_cap: int) -> int:
     """Exhaustive count of valid coefficient pairs with height <= height_cap.
 
     Grows like 0.4845 * height_cap^(5/6) for large caps.
     """
     from .counting import CapExceededError
 
+    cap = 10**8
     if height_cap < 0:
         return 0
     a_max, b_max = _coefficient_box(height_cap)
@@ -276,7 +278,11 @@ class ModelConfig:
                 "string like '1/12'"
             )
         if not isinstance(ce, Fraction):
-            object.__setattr__(self, "calibration_exponent", Fraction(ce))
+            try:
+                ce = Fraction(ce)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"calibration_exponent {ce!r} is not a fraction") from None
+            object.__setattr__(self, "calibration_exponent", ce)
         if self.calibration_exponent <= 0:
             raise ValueError("calibration_exponent must be positive")
         if self.eta_schedule not in ("log3", "constant"):
@@ -417,6 +423,11 @@ def draw_model(height: int, cfg: ModelConfig, rng: Random) -> ModelDraw:
 # empirical distributions
 
 
+class Estimate(NamedTuple):
+    value: float
+    stderr: float
+
+
 @frozen
 class EmpiricalDistribution:
     counts: dict
@@ -442,36 +453,16 @@ def _label_counts(p: int, tallies: Counter) -> dict:
     return dict(sorted(counts.items()))
 
 
-def empirical_corank_prob(
-    n: int,
-    x: int,
-    r: int,
-    mode: str = "exact",
-    samples: int = 0,
-    rng: Optional[Random] = None,
-) -> Estimate:
-    """Prob(corank >= r) for uniform alternating n x n, |entries| <= x.
-
-    Exact mode enumerates the whole box (subject to the enumeration
-    cap); monte_carlo mode samples and reports a binomial error bar.
-    """
-    from .counting import Estimate, count_alternating_by_rank
+def empirical_corank_prob(n: int, x: int, r: int) -> Fraction:
+    """Prob(corank >= r) for uniform alternating n x n, |entries| <= x,
+    exactly, from the census of the whole box (subject to the
+    enumeration cap)."""
+    from .counting import count_alternating_by_rank
 
     if r <= 0:
-        return Estimate(1.0, 0.0)
-    if mode == "exact":
-        hist = count_alternating_by_rank(n, x, norm="box")
-        return Estimate(hist.at_most(n - r) / hist.total, 0.0)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1 or rng is None:
-        raise ValueError("monte_carlo mode needs samples and rng")
-    hits = 0
-    for _ in range(samples):
-        if kernel_rank(sample_alternating(n, x, rng)) >= r:
-            hits += 1
-    p = hits / samples
-    return Estimate(p, math.sqrt(p * (1 - p) / samples))
+        return Fraction(1)
+    hist = count_alternating_by_rank(n, x, norm="box")
+    return Fraction(hist.at_most(n - r), hist.total)
 
 
 def empirical_sha_distribution(
@@ -527,8 +518,6 @@ def empirical_square_cyclic_fraction(
 ) -> Estimate:
     """Fraction of corank-0 draws whose full torsion (all primes, exact
     Smith form) is the square of a cyclic group."""
-    from .counting import Estimate
-
     if n % 2:
         raise ValueError("corank 0 requires even n")
     if x < 1:

@@ -21,7 +21,7 @@ def chunk_seed(master: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK):
+def chunk_sizes(total: int, chunk: int):
     """Fixed partition of `total` items into chunks (last one ragged)."""
     if total < 0 or chunk <= 0:
         raise ValueError("bad chunking request")

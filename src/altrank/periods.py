@@ -87,7 +87,7 @@ def _agm(a: float, g: float) -> float:
 _EST_RELATIVE_ERROR = 1e-13
 
 
-def real_period(a4, a6, tol: float = 1e-9) -> PeriodResult:
+def real_period(a4, a6) -> PeriodResult:
     """Total length of the real locus for |dx/2y|, by AGM.
 
     Three real roots r1 < r2 < r3: two components of equal length,
@@ -96,8 +96,6 @@ def real_period(a4, a6, tol: float = 1e-9) -> PeriodResult:
     w = sqrt(3r^2 + a4) and s^2 = 3r + 2w; s/2 is evaluated through its
     conjugate form when r < 0 to dodge cancellation.
     """
-    if tol <= _EST_RELATIVE_ERROR * 10:
-        raise ValueError(f"tolerance {tol} below double-precision reach")
     roots = _real_roots(a4, a6)
     if len(roots) == 3:
         r1, r2, r3 = roots
@@ -114,7 +112,7 @@ def real_period(a4, a6, tol: float = 1e-9) -> PeriodResult:
         omega = math.pi / _agm(math.sqrt(w), math.sqrt(half_sq))
         components = 1
     est = _EST_RELATIVE_ERROR * omega
-    if not (omega > 0 and math.isfinite(omega)) or est >= tol:
+    if not (omega > 0 and math.isfinite(omega)) or est >= 1e-9:
         raise ValueError("period iteration failed to reach tolerance")
     return PeriodResult(omega, est, components)
 

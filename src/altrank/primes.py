@@ -1,22 +1,33 @@
 """Small deterministic number theory helpers shared across the package.
 
 Everything here works on exact Python integers.  Primality is a
-deterministic Miller-Rabin (valid far beyond any input this package
-produces), factorization is trial division plus Brent's cycle method.
+deterministic Miller-Rabin below PSI_13 ~ 3.3e24 (larger n are refused),
+factorization is trial division plus Brent's cycle method.  Factors of
+PSI_13 or more are strong probable primes to the same 13 bases.
 """
 
 from __future__ import annotations
 
 import math
 
-# the first 13 prime bases are deterministic below psi_13 ~ 3.3e24
+# the first 13 prime bases are deterministic below PSI_13 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24."""
+    """Deterministic primality test; n >= PSI_13 raises ValueError."""
+    if n >= PSI_13:
+        raise ValueError(f"is_prime is exact only below {PSI_13}, got {n}")
+    return _probable_prime(n)
+
+
+def _probable_prime(n: int) -> bool:
+    """Trial division by _SMALL_PRIMES, then Miller-Rabin to every base
+    in _MR_BASES: exact for n < PSI_13, a strong probable prime above."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -98,7 +109,7 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if _probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _brent(m)

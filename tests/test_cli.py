@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -56,7 +57,6 @@ def test_parse_exact_int_scientific():
     assert parse_exact_int("1_000_000") == 10**6
     assert parse_exact_int("-3e2") == -300
     assert parse_exact_int("+7") == 7
-    assert parse_exact_int(42) == 42
     # no round trip through float: 17 digits survive
     assert parse_exact_int("1.2345678901234567e16") == 12345678901234567
 
@@ -164,7 +164,6 @@ def test_parse_int_list():
     assert parse_int_list("10..10") == [10]
     assert parse_int_list("1, 2,3") == [1, 2, 3]
     assert parse_int_list("1e2,2e2") == [100, 200]
-    assert parse_int_list([1, "2"]) == [1, 2]
     with pytest.raises(ValueError):
         parse_int_list("8..5")
     with pytest.raises(ValueError):
@@ -449,6 +448,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
         (["verify", "lattice"], ["k = 3"]),
         (["period-scan"], ["n = 3"]),
         (["predicted-table"], ["bounds = 1..4"]),
+        # the model keys are simulate's alone
+        (["sha-dist"], ["chunk = 5", "eta_schedule = constant"]),
+        (["cl-dist"], ["eta_schedule = constant"]),
+        (["count"], ["x_min = 0", "calibration_exponent = -3"]),
+        (["verify", "table"], ["calibration_exponent = 1/6"]),
+        (["period-scan"], ["eta_floor = 3"]),
+        (["predicted-table"], ["chunk = 5"]),
     ],
 )
 def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lines):
@@ -465,9 +471,9 @@ def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lin
 def test_print_config_takes_any_known_key(tmp_path, capsys):
     # it only displays settings; the global ones it shows come from the file
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 3\nstride = 5\nchunk = 7\n")
+    cfg.write_text("k = 3\nstride = 5\nchunk = 7\nthreads = 7\n")
     assert main(["print-config", "--config", str(cfg)]) == 0
-    assert "chunk = 7\n" in capsys.readouterr().out
+    assert "threads = 7\n" in capsys.readouterr().out
 
 
 def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
@@ -486,6 +492,66 @@ def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
     assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown norm 'linf'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_calibration_exponent_is_named(tmp_path, capsys, value, source):
+    args = ["simulate", "--curves-per-band", "10", "--out", str(tmp_path)]
+    if source == "flag":
+        args += ["--calibration-exponent", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"calibration_exponent = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: calibration_exponent {value!r} is not a fraction\n"
+    )
+    left = [p.name for p in tmp_path.iterdir()]
+    assert left == (["run.cfg"] if source == "config" else [])
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [("sha-dist", ["--n", "2", "--x", "3"]), ("cl-dist", ["--n", "2", "--k", "5"])],
+)
+def test_prime_past_the_deterministic_range_exits_2(tmp_path, capsys, command, args):
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
+    # all thirteen bases 2..41 of is_prime
+    psi = "3317044064679887385961981"
+    out = tmp_path / "out"
+    argv = [command, "--p", psi, "--samples", "5", "--out", str(out), *args]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: is_prime is exact only below {psi}, got {psi}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_takes_the_model_keys_from_flags_and_config(tmp_path):
+    model = {
+        "eta_schedule": "constant",
+        "eta_floor": "3",
+        "x_min": "3",
+        "calibration_exponent": "1/10",
+        "chunk": "7",
+    }
+    base = ["simulate", "--h-grid", "1e6,1e8,1e10", "--curves-per-band", "30"]
+    flags = [a for k, v in model.items() for a in ("--" + k.replace("_", "-"), v)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in model.items()))
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert main(base + flags + ["--out", str(by_flag)]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(by_file)]) == 0
+    survey = (by_flag / "survey.csv").read_bytes()
+    assert survey == (by_file / "survey.csv").read_bytes()
+    for out in (by_flag, by_file):
+        config = read_json(out / "survey_manifest.json")["config"]
+        assert {k: str(config[k]) for k in model} == model
+    # the default schedule draws other matrices
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert (tmp_path / "default" / "survey.csv").read_bytes() != survey
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +591,12 @@ def test_print_config_writes_nothing(tmp_path, capsys, monkeypatch):
     rc = main(["print-config"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert text.splitlines()[:8] == [
-        "calibration_exponent = 1/12",
-        "chunk = 20000",
-        "eta_floor = 2",
-        "eta_schedule = log3",
-        "out = None",
-        "seed = 12345",
-        "threads = 1",
-        "x_min = 2",
-    ]
+    assert text.splitlines()[:3] == ["out = None", "seed = 12345", "threads = 1"]
+    assert (
+        "# simulate defaults: calibration_exponent=1/12 chunk=20000 "
+        "curves_per_band=10000 eta_floor=2 eta_schedule=log3 "
+        "h_grid=1000000,1000000000000,1000000000000000000 x_min=2\n"
+    ) in text
     assert list(tmp_path.iterdir()) == []
 
 
@@ -721,6 +783,55 @@ def test_simulate_byte_identical_across_threads(tmp_path):
     assert {k: v for k, v in man_a.items() if k not in drop} == {
         k: v for k, v in man_b.items() if k not in drop
     }
+
+
+# sha256 of each output of one small run per data command (manifests,
+# which hold a timestamp, apart).  A change that alters any output byte
+# must say so and update the hash.
+GOLDEN_RUNS = {
+    "simulate": (
+        ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--chunk", "100", "--seed", "11"],
+        {"survey.csv": "e1341d5eb853f45a3dabb3291a5e655048d51562033fa645cbc6dd8e0ebcf1dc"},
+    ),
+    "sha-dist": (
+        ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],
+        {"sha_dist.json": "0c59f37c27df5a2d9d8bd55e88579de72ad97e394f454bb4578e7f891dd3e2f9"},
+    ),
+    "cl-dist": (
+        ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
+        {"cl_dist.json": "59192f45238fddb4475db4b2f31fa195caba8dc94aaca30caa2d6bd78861e8c4"},
+    ),
+    "count": (
+        ["--n", "3", "--r", "2", "--norm", "box", "--bounds", "1..5"],
+        {
+            "counts.csv": "ef316f2ae31217fcaccd6bfc64c3b1e4e99e9aedf660bc94c8fd651d45b29d7e",
+            "counts_fit.json": "be17efbe1318405248fd86700f0afc2c29dcd92477b17e8aa43671831cbd9920",
+        },
+    ),
+    "period-scan": (
+        ["--h-min", "1e4", "--h-max", "1e8", "--samples", "100", "--seed", "11"],
+        {
+            "period_scan.csv": "ba8496fe6fe564eb681cc3a9ce7c492ffc959a77840a1bade871f108b1808c7d",
+            "period_scan_summary.json": "a87c0687345407a19861c54354f4986d3ca135bf88fbcb2516210e96a51994e0",
+        },
+    ),
+    "predicted-table": (
+        ["--h-list", "1e10,1e20,1e30"],
+        {"predicted_table.csv": "00373f75343ebc31173b30d5ca767030c4ac07fa348b8628682e5ff69649cb30"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_outputs_match_golden_bytes(tmp_path, command):
+    args, want = GOLDEN_RUNS[command]
+    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+        if not p.name.endswith("_manifest.json")
+    }
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

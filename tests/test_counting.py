@@ -198,7 +198,7 @@ def test_fit_skips_zero_counts():
 
 def test_fit_min_count_filter_and_fallback():
     # counts at T = 2..5 are 6, 32, 80, 178: the 6 falls below the
-    # default min_count with three bigger points available
+    # minimum count of 20 with three bigger points available
     fit = fit_counting_exponent(3, 2, [2, 3, 4, 5], "l2")
     assert fit.used_bounds == (3, 4, 5)
     # dropping T = 5 leaves only two big points: fall back to all three

@@ -515,25 +515,23 @@ def test_rank_one_probability_limit_sense():
 
 def test_empirical_corank_exact_small():
     # n = 2, x = 1: singular iff the single entry is 0
-    est = empirical_corank_prob(2, 1, 1, mode="exact")
-    assert est.value == pytest.approx(1 / 3, abs=1e-15)
-    assert est.stderr == 0.0
+    assert empirical_corank_prob(2, 1, 1) == Fraction(1, 3)
     # any alternating 3 x 3 has corank >= 1
-    assert empirical_corank_prob(3, 1, 1, mode="exact").value == 1.0
+    assert empirical_corank_prob(3, 1, 1) == 1
     # corank 3 at n = 3 needs the zero matrix
-    est3 = empirical_corank_prob(3, 1, 3, mode="exact")
-    assert est3.value == pytest.approx(1 / 27, abs=1e-15)
-    assert empirical_corank_prob(4, 2, 0).value == 1.0
+    assert empirical_corank_prob(3, 1, 3) == Fraction(1, 27)
+    assert empirical_corank_prob(4, 2, 0) == 1
+    assert isinstance(empirical_corank_prob(2, 1, 1), Fraction)
 
 
 def test_empirical_corank_monte_carlo_vs_exact():
-    exact = empirical_corank_prob(4, 2, 2, mode="exact").value
-    est = empirical_corank_prob(
-        4, 2, 2, mode="monte_carlo", samples=20000, rng=Random(37)
-    )
-    assert abs(est.value - exact) < 4 * est.stderr + 1e-9
-    with pytest.raises(ValueError):
-        empirical_corank_prob(4, 2, 2, mode="bogus")
+    exact = empirical_corank_prob(4, 2, 2)
+    rng = Random(37)
+    samples = 20000
+    hits = sum(kernel_rank(sample_alternating(4, 2, rng)) >= 2 for _ in range(samples))
+    p_hat = hits / samples
+    stderr = math.sqrt(p_hat * (1 - p_hat) / samples)
+    assert abs(p_hat - exact) < 4 * stderr + 1e-9
 
 
 # ---------------------------------------------------------------------------

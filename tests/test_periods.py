@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from altrank.periods import (
-    PeriodResult,
     discriminant,
     period_bound_scan,
     real_period,
@@ -134,12 +133,6 @@ def test_singular_curves_rejected():
     for a4, a6 in [(0, 0), (-3, 2), (-48, 128), (-27, 54)]:
         with pytest.raises(ValueError):
             real_period(a4, a6)
-
-
-def test_tolerance_floor():
-    with pytest.raises(ValueError):
-        real_period(1, 1, tol=5e-13)
-    assert isinstance(real_period(1, 1, tol=1e-9), PeriodResult)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ def test_is_prime_large_known():
     assert is_prime(10**18 + 9)
     # strong pseudoprime to the twelve bases 2..37 (below psi_13)
     assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
+    # all thirteen bases, so is_prime refuses it and every larger n
+    psi_13 = 3317044064679887385961981
+    assert not is_prime(psi_13 - 1)
+    for n in (psi_13, psi_13 + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"exact only below {psi_13}, got {n}$"):
+            is_prime(n)
 
 
 def test_factorize_roundtrip_random():

@@ -111,6 +111,18 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, absent, present):
     assert present <= run
 
 
+def test_square_cyclic_sampler_loads_no_census():
+    # criterion 4's sampler needs no exact census, so not altrank.counting
+    run = child_modules(
+        "from random import Random\n"
+        "from altrank.model import empirical_square_cyclic_fraction\n"
+        "est = empirical_square_cyclic_fraction(4, 2, 50, Random(1))\n"
+        "assert 0 <= est.value <= 1 and type(est).__module__ == 'altrank.model'"
+    )
+    assert "altrank.model" in run
+    assert "altrank.counting" not in run
+
+
 def test_import_altrank_loads_no_submodule():
     loaded = child_modules("import altrank")
     assert {m for m in loaded if m.startswith("altrank.")} == set()
