@@ -221,15 +221,25 @@ def _jsonable(v):
 
 
 class Emitter:
-    """Writes outputs under one directory and remembers them so a failed
-    command can remove its partial files.  `manifest_extra` holds the
-    keys the run manifest adds to the standard ones; `csv` records its
-    header there as csv_columns."""
+    """Writes outputs under one directory and remembers them, and the
+    directories it made for them, so a failed command can remove what
+    it left.  `manifest_extra` holds the keys the run manifest adds to
+    the standard ones; `csv` records its header there as csv_columns."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written = []
+        self.made_dirs = []  # innermost first
         self.manifest_extra = {}
+
+    def make_dirs(self):
+        """os.makedirs(out_dir, exist_ok=True), noting first each
+        directory on the way that does not exist yet."""
+        path = self.out_dir
+        while path and not os.path.exists(path):
+            self.made_dirs.append(path)
+            path = os.path.dirname(path)
+        os.makedirs(self.out_dir, exist_ok=True)
 
     def _path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -253,6 +263,12 @@ class Emitter:
         for name in self.written:
             try:
                 os.unlink(self._path(name))
+            except OSError:
+                pass
+        # innermost first; a directory that is not empty stays
+        for path in self.made_dirs:
+            try:
+                os.rmdir(path)
             except OSError:
                 pass
 
@@ -578,10 +594,15 @@ def _show(val) -> str:
 
 
 def cmd_print_config(settings) -> int:
+    # settings holds the global keys and every key of the config file,
+    # which each command line shows in place of its default
     for key in sorted(_GLOBAL_DEFAULTS):
         print(f"{key} = {_show(settings.get(key))}")
     for name, command in sorted(_COMMANDS.items()):
-        parts = [f"{key}={_show(val)}" for key, val in sorted(command.defaults.items())]
+        parts = [
+            f"{key}={_show(settings.get(key, val))}"
+            for key, val in sorted(command.defaults.items())
+        ]
         print(f"# {name} defaults: " + " ".join(parts))
     return 0
 
@@ -627,13 +648,14 @@ def main(argv=None) -> int:
     if args.command == "print-config":
         return cmd_print_config(settings)
     out_dir = settings.get("out") or os.environ.get("ALTRANK_OUT") or "."
+    emitter = Emitter(out_dir)
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        emitter.make_dirs()
     except OSError as exc:
+        emitter.cleanup()
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
     command = _COMMANDS[args.command]
-    emitter = Emitter(out_dir)
     try:
         code = command.run(settings, emitter)
         claim = command.claim or _SUITES[settings["suite"]].claim

@@ -216,8 +216,10 @@ def _curve_stream(height_cap: int, rng: Random):
     iff |a4|**3 > height_cap // 8, and 54*a6**2 > height_cap iff
     a6**2 > height_cap // 54.  So a draw is dropped when r4 = a4 + a_max
     lies in [a_max - a_lo, a_max + a_lo] and r6 = a6 + b_max in
-    [b_max - b_lo, b_max + b_lo], and only draws in the band pay for
-    curve_height and is_valid_curve.
+    [b_max - b_lo, b_max + b_lo].  A draw in the band forms 4*a4**3 and
+    27*a6**2 once, for the discriminant, for is_valid_curve's own early
+    accept at gcd(a4, a6) < 16 and for the height; is_valid_curve runs
+    only at gcd >= 16, where it may trial-divide.
     """
     if height_cap < MIN_HEIGHT:
         raise ValueError(f"band top must be at least {MIN_HEIGHT}")
@@ -231,13 +233,14 @@ def _curve_stream(height_cap: int, rng: Random):
     lo6, hi6 = b_max - b_lo, b_max + b_lo
     # rng.randint(-m, m) is -m + rng.randrange(2*m + 1); zip takes the
     # a4 draw before the a6 draw, as two randint calls would
+    gcd = math.gcd
     for r4, r6 in zip(_draws(rng, 2 * a_max + 1), _draws(rng, 2 * b_max + 1)):
         if lo4 <= r4 <= hi4 and lo6 <= r6 <= hi6:
             continue
         a4, a6 = r4 - a_max, r6 - b_max
-        h = curve_height(a4, a6)
-        if is_valid_curve(a4, a6):
-            yield a4, a6, h
+        c4, c6 = 4 * a4 * a4 * a4, 27 * a6 * a6
+        if c4 + c6 and (gcd(a4, a6) < 16 or is_valid_curve(a4, a6)):
+            yield a4, a6, max(abs(c4), c6)
 
 
 def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
@@ -367,16 +370,30 @@ def _schedule_interval(height: int, cfg: ModelConfig):
     return lo, iroot(t_hi, num), eta, x
 
 
-def _alternating_upper(n: int, x: int, entries) -> list:
-    """n(n-1)/2 upper entries from `entries` = _draws(rng, 2*x + 1)."""
-    return [r - x for r in islice(entries, n * (n - 1) // 2)]
+def _alternating_upper(n: int, x: int, getrandbits) -> list:
+    """n(n-1)/2 upper entries uniform on {-x, ..., x}: the values and
+    the RNG state of as many rng.randrange(2*x + 1) - x calls, where
+    getrandbits is rng.getrandbits.
+
+    The rejection loop of _draws, written out here, so that an entry
+    costs no generator resumption.
+    """
+    span = 2 * x + 1
+    k = span.bit_length()
+    upper = []
+    for _ in range(n * (n - 1) // 2):
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        upper.append(r - x)
+    return upper
 
 
 def sample_alternating(n: int, x: int, rng: Random) -> AlternatingMatrix:
     """Entries above the diagonal independent uniform on {-x, ..., x}."""
     if x < 0:
         raise ValueError(f"entry bound x must be nonnegative, got {x}")
-    return AlternatingMatrix(n, _alternating_upper(n, x, _draws(rng, 2 * x + 1)))
+    return AlternatingMatrix(n, _alternating_upper(n, x, rng.getrandbits))
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +637,24 @@ def _survey_chunk(spec):
 
     Each sampled curve contributes one model draw at its own height,
     the same draws as model_params and sample_alternating make; (eta, x)
-    is reused while the height stays in its schedule interval.  Module
-    level so process pools can pickle it.
+    is reused while the height stays in its schedule interval.  The size
+    bit is rng.randrange(2) by the rejection loop of _draws written out,
+    and the entries come from _alternating_upper, so no generator is
+    resumed for either.  Module level so process pools can pickle it.
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
+    getrandbits = rng.getrandbits
     hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by min(corank, 5)
-    size_bits = _draws(rng, 2)
     lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
     for _, _, h in islice(_curve_stream(height_cap, rng), size):
         if not lo <= h <= hi:
             lo, hi, eta, x = _schedule_interval(h, cfg)
-            entries = _draws(rng, 2 * x + 1)
-        n = eta + next(size_bits)
-        corank = n - _alternating_rank(n, _alternating_upper(n, x, entries))
+        bit = getrandbits(2)
+        while bit >= 2:
+            bit = getrandbits(2)
+        n = eta + bit
+        corank = n - _alternating_rank(n, _alternating_upper(n, x, getrandbits))
         hist[min(corank, MAX_SURVEY_RANK)] += 1
     return [0] + [sum(hist[r:]) for r in range(1, MAX_SURVEY_RANK + 1)]
 

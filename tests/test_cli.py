@@ -476,6 +476,23 @@ def test_print_config_takes_any_known_key(tmp_path, capsys):
     assert "threads = 7\n" in capsys.readouterr().out
 
 
+def test_print_config_shows_command_keys_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chunk = 7\nsamples = 5\n")
+    assert main(["print-config", "--config", str(cfg)]) == 0
+    shown = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("# "):
+            name, _, pairs = line[2:].partition(" defaults: ")
+            shown[name] = pairs.split()
+    assert "chunk=7" in shown["simulate"]
+    for name in ("sha-dist", "cl-dist", "verify", "period-scan"):
+        assert "samples=5" in shown[name], name
+    # a command that reads neither key keeps its defaults
+    assert shown["count"] == ["bounds=5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20",
+                              "n=3", "norm=l2", "r=2"]
+
+
 def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
     # a config file bypasses argparse's choices for --method
     cfg = tmp_path / "run.cfg"
@@ -519,14 +536,17 @@ def test_bad_calibration_exponent_is_named(tmp_path, capsys, value, source):
 def test_prime_past_the_deterministic_range_exits_2(tmp_path, capsys, command, args):
     # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to
     # all thirteen bases 2..41 of is_prime
+    # the refusal comes after --out is created; each directory made for
+    # it, one level or two, is removed again
     psi = "3317044064679887385961981"
-    out = tmp_path / "out"
-    argv = [command, "--p", psi, "--samples", "5", "--out", str(out), *args]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"error: is_prime is exact only below {psi}, got {psi}\n"
-    )
-    assert list(out.iterdir()) == []
+    for out in (tmp_path / "out", tmp_path / "new" / "deeper"):
+        argv = [command, "--p", psi, "--samples", "5", "--out", str(out), *args]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: is_prime is exact only below {psi}, got {psi}\n"
+        )
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_takes_the_model_keys_from_flags_and_config(tmp_path):

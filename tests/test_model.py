@@ -42,6 +42,7 @@ from altrank.model import (
     torsion_label,
 )
 from altrank.model import (
+    _alternating_upper,
     _coefficient_box,
     _curve_stream,
     _draws,
@@ -294,6 +295,16 @@ def test_draws_interleave_like_calls():
     assert ours.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 10**4, 2**31, 2**40])
+def test_alternating_upper_is_randrange(x):
+    # sample_alternating and the survey both draw entries through it
+    ours, ref = Random(x), Random(x)
+    for n in range(8):
+        got = _alternating_upper(n, x, ours.getrandbits)
+        assert got == [ref.randrange(2 * x + 1) - x for _ in range(n * (n - 1) // 2)]
+        assert ours.getstate() == ref.getstate(), n
+
+
 # ---------------------------------------------------------------------------
 # parameter schedule
 
@@ -389,10 +400,12 @@ def test_survey_chunk_matches_public_draws():
     # The survey reuses (eta, x) across its schedule interval and ranks
     # the raw entries; it must make the draws model_params and
     # sample_alternating make.  Band (0.75, 1.5] * 3**36 crosses the
-    # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4).
+    # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4); band
+    # (5e28, 1e29] has (eta, x) = (5, 4), so n = 5 and 6.
     for cap, cfg in [
         (3**37 // 2, ModelConfig(seed=9)),
         (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3)),
+        (10**29, ModelConfig(seed=11)),
     ]:
         rng = Random(chunk_seed(cfg.seed, "survey:0", 0))
         want = [0] * 6
