@@ -4,7 +4,7 @@ Every data-producing subcommand writes fixed-name outputs plus a
 <stem of the first output>_manifest.json recording command, claim tag,
 seed, thread count, and the full effective configuration.  Each command
 is declared once, in `_COMMANDS`; its flags, config keys and manifest
-follow from that entry.  The `verify` suites and their oracles live in
+follow from that entry, and each key's parser from its default.  The `verify` suites and their oracles live in
 `altrank.verify`, which only `verify` imports.  All randomness flows
 from the configured seed (parallel work is seeded per chunk), floats
 are emitted with repr and JSON keys are sorted, so outputs are
@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from collections import ChainMap
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from random import Random
 from typing import Callable, NamedTuple, Optional
@@ -58,40 +60,22 @@ MAX_INT_DIGITS = 4300
 def parse_exact_int(value: str) -> int:
     """The integer a decimal string names, plain or in scientific notation.
 
-    A string is accepted exactly when decimal.Decimal reads it as a
-    finite integral value of at most MAX_INT_DIGITS digits, so "1.50e1"
-    is 15 and "100e-2" is 1; underscores are ignored, as Decimal ignores
-    them.  (Decimal also refuses exponents past its own range, about
-    10**18; with a zero mantissa they read as 0 here.)  Any other
-    string raises a ValueError that names it.
+    The string is read by decimal.Decimal, so "1.50e1" is 15, "100e-2" is
+    1 and underscores are ignored; it must name a finite integral value
+    of at most MAX_INT_DIGITS digits.  Any other string raises a
+    ValueError that names it.
     """
-    t = value.replace("_", "").strip().lower()
-    sign = -1 if t[:1] == "-" else 1
-    mant, e_mark, exp = (t[1:] if t[:1] in ("+", "-") else t).partition("e")
-    whole, _, frac = mant.partition(".")
-    exp_sign = exp[:1] if exp[:1] in ("+", "-") else ""
-    exp_digits = exp[len(exp_sign) :]
-    # a digit before or after the point, and digits after an e
-    if not (whole + frac).isdecimal() or (e_mark and not exp_digits.isdecimal()):
+    try:
+        d = Decimal(value)
+        integral = d.is_finite() and d == d.to_integral_value()
+    except InvalidOperation:
+        integral = False
+    if not integral:
         raise ValueError(f"{value!r} is not an integer")
-    if not mant.isascii():  # digits of other scripts, which int() reads too
-        whole, frac = ("".join(str(int(c)) for c in s) for s in (whole, frac))
-    # the digit count is judged before int() or 10**shift meets a long string
-    too_long = f"integer {value[:30]!r} has more than {MAX_INT_DIGITS} digits"
-    exp_digits = exp_digits.lstrip("0") or "0"
-    if len(exp_digits) > MAX_INT_DIGITS:
-        raise ValueError(too_long)
-    digits = (whole + frac).lstrip("0")
-    if not digits:
-        return 0
-    kept = digits.rstrip("0")
-    # the value is sign * kept * 10**shift
-    shift = int(exp_sign + exp_digits) - len(frac) + len(digits) - len(kept)
-    if shift < 0:
-        raise ValueError(f"{value!r} is not an integer")
-    if len(kept) + shift > MAX_INT_DIGITS:
-        raise ValueError(too_long)
-    return sign * int(kept) * 10**shift
+    # judged from Decimal's exponent, before int() forms a long integer
+    if d and d.adjusted() >= MAX_INT_DIGITS:
+        raise ValueError(f"integer {value[:30]!r} has more than {MAX_INT_DIGITS} digits")
+    return int(d)
 
 
 def parse_int_list(value: str) -> list:
@@ -113,32 +97,6 @@ def parse_int_list(value: str) -> list:
 
 # ---------------------------------------------------------------------------
 # configuration: defaults < config file < command-line flags
-
-_SCHEMA = {
-    "seed": parse_exact_int,
-    "threads": parse_exact_int,
-    "out": str,
-    "samples": parse_exact_int,
-    "n": parse_exact_int,
-    "x": parse_exact_int,
-    "r": parse_exact_int,
-    "p": parse_exact_int,
-    "k": parse_exact_int,
-    "norm": str,
-    "method": str,
-    "bounds": parse_int_list,
-    "h_grid": parse_int_list,
-    "h_list": parse_int_list,
-    "curves_per_band": parse_exact_int,
-    "h_min": parse_exact_int,
-    "h_max": parse_exact_int,
-    "eta_schedule": str,
-    "eta_floor": parse_exact_int,
-    "x_min": parse_exact_int,
-    "calibration_exponent": str,
-    "chunk": parse_exact_int,
-    "stride": parse_exact_int,
-}
 
 # simulate's settings passed through to ModelConfig, with its defaults
 _MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
@@ -164,6 +122,14 @@ def _read_config_file(path: str):
     return pairs
 
 
+def _parser(default) -> Callable:
+    """A key's parser, which its default decides: anything but a list or
+    an int (None, a str, the Fraction ModelConfig coerces) stays a str."""
+    if isinstance(default, list):
+        return parse_int_list
+    return parse_exact_int if isinstance(default, int) else str
+
+
 def _resolve_settings(args) -> dict:
     command = _COMMANDS.get(args.command)
     defaults = command.defaults if command else {}
@@ -171,19 +137,22 @@ def _resolve_settings(args) -> dict:
     # where each explicitly given key came from: "--key" or "config key"
     given = {}
     if getattr(args, "config", None):
+        # the known keys: the global ones and every command's defaults
+        known = ChainMap(_GLOBAL_DEFAULTS, *(c.defaults for c in _COMMANDS.values()))
         for key, raw in _read_config_file(args.config):
-            if key not in _SCHEMA:
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             # a command reads the global keys and its own defaults;
             # print-config only displays settings, so it takes any key
             if command and key not in _GLOBAL_DEFAULTS and key not in defaults:
                 raise ValueError(f"{args.command} does not read config key {key!r}")
-            settings[key] = _SCHEMA[key](raw)
+            settings[key] = _parser(known[key])(raw)
             given[key] = f"config key {key!r}"
-    for key, parse in _SCHEMA.items():
+    # flags are read in the command's declared key order
+    for key, default in {**_GLOBAL_DEFAULTS, **defaults}.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = parse(flag)
+            settings[key] = _parser(default)(flag)
             given[key] = f"--{key}"
     if hasattr(args, "suite"):
         settings["suite"] = args.suite

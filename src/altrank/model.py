@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from contextlib import suppress
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -73,6 +75,10 @@ MIN_HEIGHT = 100
 
 # the survey's slope fit and the period scan take heights as floats
 MAX_FLOAT_HEIGHT = int(sys.float_info.max)
+
+# bounds that keep the schedule's powers and the survey's matrices small
+MAX_CALIBRATION_TERM = 1000
+MAX_SURVEY_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +270,11 @@ class ModelConfig:
     height**ce up to a bounded factor.  With the defaults the ratio
     x**eta / height**(1/12) stays inside [1, 16] for heights between
     1e4 and 1e30.
+
+    The numerator and denominator of calibration_exponent are at most
+    MAX_CALIBRATION_TERM (1000), and rank_survey takes matrices of size
+    at most MAX_SURVEY_SIZE (64) at its top height; the defaults reach
+    size 54 at MAX_FLOAT_HEIGHT (about 1.8e308).
     """
 
     eta_schedule: str = "log3"
@@ -280,6 +291,13 @@ class ModelConfig:
                 "calibration_exponent must be exact; pass a Fraction or a "
                 "string like '1/12'"
             )
+        m = MAX_CALIBRATION_TERM
+        bound = f"must lie in [1/{m}, {m}], with numerator and denominator at most {m}"
+        # Fraction forms 10**e at a decimal string's exponent e: Decimal
+        # sizes it first
+        with suppress(InvalidOperation):
+            if isinstance(ce, str) and "/" not in ce and abs(Decimal(ce).adjusted()) > 3:
+                raise ValueError(f"calibration_exponent {ce} {bound}")
         if not isinstance(ce, Fraction):
             try:
                 ce = Fraction(ce)
@@ -288,6 +306,8 @@ class ModelConfig:
             object.__setattr__(self, "calibration_exponent", ce)
         if self.calibration_exponent <= 0:
             raise ValueError("calibration_exponent must be positive")
+        if max(ce.numerator, ce.denominator) > m:
+            raise ValueError(f"calibration_exponent {ce} {bound}")
         if self.eta_schedule not in ("log3", "constant"):
             raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
         if self.eta_floor < 1:
@@ -676,6 +696,14 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
         raise ValueError(f"grid heights must be at least {MIN_HEIGHT}")
     if h_grid[-1] > MAX_FLOAT_HEIGHT:
         raise ValueError(f"grid heights must be at most {MAX_FLOAT_HEIGHT:.6g}")
+    # the schedule's largest size, eta + 1, comes at the top height
+    size = schedule_eta(h_grid[-1], cfg) + 1
+    if size > MAX_SURVEY_SIZE:
+        key = "eta_floor" if size == cfg.eta_floor + 1 else "calibration_exponent"
+        raise ValueError(
+            f"{key} {getattr(cfg, key)} gives matrices of size {size} at "
+            f"height {h_grid[-1]}; the survey takes at most {MAX_SURVEY_SIZE}"
+        )
     if not all(_band_nonempty(h) for h in h_grid):
         raise ValueError("some grid band contains no valid curve")
     if curves_per_band < 1:

@@ -128,6 +128,8 @@ def test_parse_exact_int_agrees_with_decimal(text):
         (".e0", None),
         ("-e3", None),
         ("1e", None),
+        # a zero mantissa with an exponent past Decimal's range
+        ("0e1000000000000000000", None),
     ],
 )
 def test_parse_exact_int_regressions(capsys, text, value):
@@ -226,6 +228,53 @@ PARSER_SURFACE = {
     "predicted-table": [("--h-list", "h_list", None)],
     "print-config": [],
 }
+
+
+# the parser of each setting key as cli.py once spelled it out, key by
+# key; each now follows from the key's default
+SCHEMA = {
+    "seed": parse_exact_int,
+    "threads": parse_exact_int,
+    "out": str,
+    "samples": parse_exact_int,
+    "n": parse_exact_int,
+    "x": parse_exact_int,
+    "r": parse_exact_int,
+    "p": parse_exact_int,
+    "k": parse_exact_int,
+    "norm": str,
+    "method": str,
+    "bounds": parse_int_list,
+    "h_grid": parse_int_list,
+    "h_list": parse_int_list,
+    "curves_per_band": parse_exact_int,
+    "h_min": parse_exact_int,
+    "h_max": parse_exact_int,
+    "eta_schedule": str,
+    "eta_floor": parse_exact_int,
+    "x_min": parse_exact_int,
+    "calibration_exponent": str,
+    "chunk": parse_exact_int,
+    "stride": parse_exact_int,
+}
+
+
+def test_each_key_parser_follows_from_its_default():
+    cli = altrank.cli
+    types = {}
+    for defaults in [cli._GLOBAL_DEFAULTS] + [c.defaults for c in cli._COMMANDS.values()]:
+        for key, default in defaults.items():
+            assert cli._parser(default) is SCHEMA[key], key
+            # every command that declares a key gives it a default of one type
+            assert types.setdefault(key, type(default)) is type(default), key
+    assert len(SCHEMA) == 23
+    assert set(types) == set(SCHEMA)
+
+
+def test_flags_are_read_in_the_declared_key_order(capsys):
+    # sha-dist declares n before samples, so --n's value is read first
+    assert main(["sha-dist", "--samples", "x", "--n", "y"]) == 2
+    assert capsys.readouterr().err == "error: 'y' is not an integer\n"
 
 
 def test_parser_surface_is_pinned():
@@ -509,6 +558,47 @@ def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
     assert main(["count", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown norm 'linf'\n"
     assert not out.exists()
+
+
+_BOUND = "must lie in [1/1000, 1000], with numerator and denominator at most 1000"
+
+
+@pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        # 3**(10**9) in schedule_eta
+        ("--calibration-exponent", "1/1000000000", f"calibration_exponent 1/1000000000 {_BOUND}"),
+        # n near 25151 at 1e12: about 3e8 entries per draw
+        (
+            "--calibration-exponent",
+            "1000",
+            "calibration_exponent 1000 gives matrices of size 25151 at height "
+            "1000000000000; the survey takes at most 64",
+        ),
+        ("--calibration-exponent", "12345/7", f"calibration_exponent 12345/7 {_BOUND}"),
+        (
+            "--eta-floor",
+            "300",
+            "eta_floor 300 gives matrices of size 301 at height 1000000000000; "
+            "the survey takes at most 64",
+        ),
+        # Fraction forms 10**100000000 from these strings before any bound
+        ("--calibration-exponent", "1e-100000000", f"calibration_exponent 1e-100000000 {_BOUND}"),
+        ("--calibration-exponent", "0e-100000000", f"calibration_exponent 0e-100000000 {_BOUND}"),
+    ],
+)
+def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
+    tmp_path, capsys, monkeypatch, flag, value, error
+):
+    def no_chunk(spec):
+        raise AssertionError("a survey chunk ran")
+
+    monkeypatch.setattr(altrank.model, "_survey_chunk", no_chunk)
+    out = tmp_path / "out"
+    argv = ["simulate", "--h-grid", "1e6,1e9,1e12", "--curves-per-band", "10"]
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

@@ -433,6 +433,28 @@ def test_model_config_validation():
     assert cfg.calibration_exponent == Fraction(1, 6)
 
 
+def test_calibration_exponent_terms_are_bounded():
+    for ok in ("1000/999", "1/1000", "1000", "0.001", "1e-3", "1000e-6"):
+        ce = ModelConfig(calibration_exponent=ok).calibration_exponent
+        assert max(ce.as_integer_ratio()) <= 1000
+    for bad in ("1/1001", "1001", "1001/1002", "0.0011", "1e-4", "2e3"):
+        with pytest.raises(ValueError, match="must lie in"):
+            ModelConfig(calibration_exponent=bad)
+
+
+def test_survey_size_bound(monkeypatch):
+    # the bound is on eta + 1 at the top height, and is checked before
+    # any chunk; the defaults stay well inside it up to the float range
+    monkeypatch.setattr(altrank.model, "_survey_chunk", lambda spec: [0] * 6)
+    grid = [10**4, 10**6, 10**8]
+    rank_survey(grid, 1, ModelConfig(eta_floor=63))  # size 64
+    with pytest.raises(ValueError, match="eta_floor 64 gives matrices of size 65 "):
+        rank_survey(grid, 1, ModelConfig(eta_floor=64))
+    top = altrank.model.MAX_FLOAT_HEIGHT
+    assert schedule_eta(top, ModelConfig()) + 1 == 54
+    rank_survey([top // 4, top // 2, top], 1, ModelConfig())
+
+
 def test_model_params_draws_both_sizes():
     rng = Random(32)
     cfg = ModelConfig()

@@ -123,6 +123,13 @@ def test_square_cyclic_sampler_loads_no_census():
     assert "altrank.counting" not in run
 
 
+def test_fractions_loads_decimal():
+    # cli and model read numbers through decimal at no start-up cost only
+    # because fractions, which both import, loads it; if it stops doing
+    # so, this fails rather than setup_s rising unnoticed
+    assert "decimal" in child_modules("from fractions import Fraction")
+
+
 def test_import_altrank_loads_no_submodule():
     loaded = child_modules("import altrank")
     assert {m for m in loaded if m.startswith("altrank.")} == set()
