@@ -4,8 +4,9 @@ Every data-producing subcommand writes fixed-name outputs plus a
 <stem of the first output>_manifest.json recording command, claim tag,
 seed, thread count, and the full effective configuration.  Each command
 is declared once, in `_COMMANDS`; its flags, config keys and manifest
-follow from that entry, and each key's parser from its default.  The `verify` suites and their oracles live in
-`altrank.verify`, which only `verify` imports.  All randomness flows
+follow from that entry, and each key's parser from its default.  The
+`verify` suites and their oracles live in `altrank.verify`, which only
+`verify` imports.  All randomness flows
 from the configured seed (parallel work is seeded per chunk), floats
 are emitted with repr and JSON keys are sorted, so outputs are
 byte-identical for a given seed at any --threads value.  The manifest
@@ -265,38 +266,14 @@ def _write_manifest(emitter, command, claim, settings):
 # reference measures for distribution commands
 
 
-def _parse_label(label: str):
-    ptxt, _, body = label.partition(":")
-    body = body.strip()
-    exps = tuple(int(t) for t in body[1:-1].split(",") if t)
-    return int(ptxt), exps
-
-
-def _delaunay_reference(labels, p: int, r: int) -> dict:
-    """Exact limiting masses for each doubled-partition label."""
-    support = set(labels)
-    support.update(group_label(s) for s in symplectic_support(p, 3))
+def _reference(labels, support, mass) -> dict:
+    """Exact limiting mass of each observed label and of the label of
+    each group in `support`, in label order; `mass` maps a label's
+    exponent tuple to its mass."""
     out = {}
-    for label in sorted(support):
-        lp, exps = _parse_label(label)
-        if lp != p or len(exps) % 2 or exps[0::2] != exps[1::2]:
-            continue
-        base = SymplecticPGroup(AbelianPGroup(p, exps[0::2]))
-        out[label] = delaunay_measure(base, r).value
-    return out
-
-
-def _cl_reference(labels, p: int) -> dict:
-    support = set(labels)
-    support.update(
-        group_label(AbelianPGroup(p, lam)) for lam in partitions_up_to(3)
-    )
-    out = {}
-    for label in sorted(support):
-        lp, exps = _parse_label(label)
-        if lp != p:
-            continue
-        out[label] = cl_measure(AbelianPGroup(p, exps)).value
+    for label in sorted(set(labels) | {group_label(g) for g in support}):
+        body = label.partition(":")[2]
+        out[label] = mass(tuple(int(e) for e in body[1:-1].split(",") if e))
     return out
 
 
@@ -359,7 +336,15 @@ def cmd_sha_dist(settings, emitter) -> int:
         settings["samples"],
         Random(settings["seed"]),
     )
-    reference = _delaunay_reference(dist.counts, settings["p"], settings["r"])
+    p, r = settings["p"], settings["r"]
+    # a doubled label's exponents pair up; its base is every other one
+    reference = _reference(
+        dist.counts,
+        symplectic_support(p, 3),
+        lambda e: delaunay_measure(
+            SymplecticPGroup(AbelianPGroup(p, e[0::2])), r
+        ).value,
+    )
     emitter.json(
         "sha_dist.json",
         _distribution_payload(
@@ -383,7 +368,12 @@ def cmd_cl_dist(settings, emitter) -> int:
         settings["samples"],
         Random(settings["seed"]),
     )
-    reference = _cl_reference(dist.counts, settings["p"])
+    p = settings["p"]
+    reference = _reference(
+        dist.counts,
+        [AbelianPGroup(p, lam) for lam in partitions_up_to(3)],
+        lambda e: cl_measure(AbelianPGroup(p, e)).value,
+    )
     emitter.json("cl_dist.json", _distribution_payload(dist, reference))
     return 0
 

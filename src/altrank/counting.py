@@ -19,7 +19,6 @@ from .linalg import (
     AlternatingMatrix,
     IntegerMatrix,
     _alternating_rank,
-    _upper_index,
     determinant,
 )
 

@@ -145,10 +145,14 @@ def aut_order_brute(g: AbelianPGroup) -> int:
 
     The (i, j) entry of an endomorphism lives in Hom(Z/p^e_j, Z/p^e_i),
     a cyclic group of order p^min(e_i, e_j); the map is invertible iff
-    its reduction mod p is invertible (Nakayama plus finiteness).  Only
-    feasible for tiny groups; raises UnsupportedSizeError beyond 2**20
-    candidate matrices.
+    its reduction mod p is invertible (Nakayama plus finiteness), that
+    is, when linalg's local Smith kernel mod p finds no zero diagonal.
+    Only feasible for tiny groups; raises UnsupportedSizeError beyond
+    2**20 candidate matrices.
     """
+    # linalg imports this module at its top
+    from .linalg import diag_valuations_mod
+
     cap = 1 << 20
     ex = g.exponents
     m = len(ex)
@@ -176,32 +180,9 @@ def aut_order_brute(g: AbelianPGroup) -> int:
                 v = flat[i * m + j]
                 row.append(v % p if ex[i] <= ex[j] else 0)
             red.append(row)
-        if _rank_mod_p(red, m, p) == m:
+        if None not in diag_valuations_mod(red, m, p, 1):
             count += 1
     return count
-
-
-def _rank_mod_p(rows, m: int, p: int) -> int:
-    r = 0
-    for col in range(m):
-        piv = -1
-        for i in range(r, m):
-            if rows[i][col] % p:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        inv = pow(rows[r][col], -1, p)
-        for i in range(r + 1, m):
-            f = (rows[i][col] * inv) % p
-            if f:
-                for j in range(col, m):
-                    rows[i][j] = (rows[i][j] - f * rows[r][j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def _gl_order(p: int, a: int) -> int:

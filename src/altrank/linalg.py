@@ -1,9 +1,9 @@
 """Exact integer linear algebra for dense and alternating matrices.
 
-All arithmetic is arbitrary-precision and exact.  The hot paths (rank,
-divisor-only Smith reduction, small-dimension alternating rank ladders)
-operate on plain lists of Python ints; the `@frozen` value classes are
-thin immutable wrappers around that storage.
+All arithmetic is arbitrary-precision and exact.  The hot paths (the
+small-dimension alternating rank ladders and the local Smith kernels
+modulo p**prec) operate on plain lists of Python ints; the `@frozen`
+value classes are thin immutable wrappers around that storage.
 """
 
 from __future__ import annotations
@@ -174,18 +174,14 @@ def _rank_rows(rows, m: int, n: int):
             sign = -sign
         rr = rows[r]
         pv = rr[col]
+        # zero-lead rows need the rescale too, or the delayed exact
+        # division breaks at the next step
         for i in range(r + 1, m):
             ri = rows[i]
             rv = ri[col]
-            if rv:
-                for j in range(col + 1, n):
-                    ri[j] = (ri[j] * pv - rv * rr[j]) // prev
-                ri[col] = 0
-            else:
-                # zero-lead rows still need the Bareiss rescale, or the
-                # delayed exact division breaks at the next step
-                for j in range(col + 1, n):
-                    ri[j] = (ri[j] * pv) // prev
+            for j in range(col + 1, n):
+                ri[j] = (ri[j] * pv - rv * rr[j]) // prev
+            ri[col] = 0
         prev = pv
         r += 1
         if r == m:
@@ -322,15 +318,15 @@ def _alternating_rank(n: int, upper) -> int:
 # Smith normal form
 
 
-def _smith_core(rows, m: int, n: int, track: bool):
-    """Reduce `rows` in place to Smith form.
+def _smith_core(rows, m: int, n: int) -> tuple:
+    """Reduce the leading m x n block of `rows` in place to Smith form and
+    return its divisors.
 
-    Returns (divisors, U_rows, V_rows); the transform rows are None when
-    track is False.  Pivoting always picks the entry of least magnitude
-    to limit coefficient growth.
+    Row operations act on whole rows and column operations on every row,
+    so columns past n and rows past m ride along: smith_normal_form
+    carries U and V there.  Pivoting always picks the entry of least
+    magnitude to limit coefficient growth.
     """
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
     mn = min(m, n)
     t = 0
     while t < mn:
@@ -353,14 +349,9 @@ def _smith_core(rows, m: int, n: int, track: bool):
             break
         if bi != t:
             rows[bi], rows[t] = rows[t], rows[bi]
-            if track:
-                U[bi], U[t] = U[t], U[bi]
         if bj != t:
             for r in rows:
                 r[bj], r[t] = r[t], r[bj]
-            if track:
-                for r in V:
-                    r[bj], r[t] = r[t], r[bj]
 
         while True:
             # clear row t and column t; the pivot magnitude strictly
@@ -369,8 +360,6 @@ def _smith_core(rows, m: int, n: int, track: bool):
             while True:
                 if rows[t][t] < 0:
                     rows[t] = [-v for v in rows[t]]
-                    if track:
-                        U[t] = [-v for v in U[t]]
                 p = rows[t][t]
                 moved = False
                 for i in range(t + 1, m):
@@ -379,16 +368,10 @@ def _smith_core(rows, m: int, n: int, track: bool):
                         q = v // p
                         if q:
                             ri, rt = rows[i], rows[t]
-                            for jj in range(t, n):
+                            for jj in range(t, len(ri)):
                                 ri[jj] -= q * rt[jj]
-                            if track:
-                                ui, ut = U[i], U[t]
-                                for jj in range(m):
-                                    ui[jj] -= q * ut[jj]
                         if rows[i][t]:
                             rows[i], rows[t] = rows[t], rows[i]
-                            if track:
-                                U[i], U[t] = U[t], U[i]
                             moved = True
                             break
                 if moved:
@@ -400,15 +383,9 @@ def _smith_core(rows, m: int, n: int, track: bool):
                         if q:
                             for r in rows:
                                 r[j] -= q * r[t]
-                            if track:
-                                for r in V:
-                                    r[j] -= q * r[t]
                         if rows[t][j]:
                             for r in rows:
                                 r[j], r[t] = r[t], r[j]
-                            if track:
-                                for r in V:
-                                    r[j], r[t] = r[t], r[j]
                             moved = True
                             break
                 if not moved:
@@ -431,16 +408,11 @@ def _smith_core(rows, m: int, n: int, track: bool):
             if carrier < 0:
                 break
             rt, rc = rows[t], rows[carrier]
-            for jj in range(t, n):
+            for jj in range(t, len(rt)):
                 rt[jj] += rc[jj]
-            if track:
-                ut, uc = U[t], U[carrier]
-                for jj in range(m):
-                    ut[jj] += uc[jj]
         t += 1
 
-    divisors = tuple(rows[i][i] for i in range(mn))
-    return divisors, U, V
+    return tuple(rows[i][i] for i in range(mn))
 
 
 def _as_rows(m) -> tuple:
@@ -454,9 +426,17 @@ def smith_normal_form(m) -> SmithDecomposition:
 
     divisors d_1 | d_2 | ... are nonnegative with zeros trailing; the
     returned transforms satisfy U @ A @ V == diag(divisors) exactly.
+    They are carried as identity blocks of [[A, I_m], [I_n]] (Cohen,
+    GTM 138, 2.4): the row operations build U in the right block of the
+    first m rows, and the column operations build V in the n rows below.
     """
     rows, nr, nc = _as_rows(m)
-    divisors, U, V = _smith_core(rows, nr, nc, track=True)
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(nr))
+    rows.extend([int(i == j) for j in range(nc)] for i in range(nc))
+    divisors = _smith_core(rows, nr, nc)
+    U = [row[nc:] for row in rows[:nr]]
+    V = rows[nr:]
     return SmithDecomposition(
         U=IntegerMatrix.from_rows(U) if U else IntegerMatrix(0, 0, ()),
         V=IntegerMatrix.from_rows(V) if V else IntegerMatrix(0, 0, ()),
@@ -465,9 +445,9 @@ def smith_normal_form(m) -> SmithDecomposition:
 
 
 def smith_divisors(m) -> tuple:
-    """Divisor chain only; skips transform bookkeeping."""
+    """Divisor chain only: the same elimination on A's bare rows."""
     rows, nr, nc = _as_rows(m)
-    return _smith_core(rows, nr, nc, track=False)[0]
+    return _smith_core(rows, nr, nc)
 
 
 def divisors_from_minors(m) -> tuple:

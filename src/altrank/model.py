@@ -79,6 +79,12 @@ MAX_FLOAT_HEIGHT = int(sys.float_info.max)
 # bounds that keep the schedule's powers and the survey's matrices small
 MAX_CALIBRATION_TERM = 1000
 MAX_SURVEY_SIZE = 64
+MAX_X_MIN = 10**12
+
+# bounds that keep one sha-dist or cl-dist draw to about a second: the
+# matrix size, and the bit length of cl-dist's largest modulus
+MAX_DIST_SIZE = 100
+MAX_CL_MODULUS_BITS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +278,10 @@ class ModelConfig:
     1e4 and 1e30.
 
     The numerator and denominator of calibration_exponent are at most
-    MAX_CALIBRATION_TERM (1000), and rank_survey takes matrices of size
-    at most MAX_SURVEY_SIZE (64) at its top height; the defaults reach
-    size 54 at MAX_FLOAT_HEIGHT (about 1.8e308).
+    MAX_CALIBRATION_TERM (1000), x_min is at most MAX_X_MIN (1e12), and
+    rank_survey takes matrices of size at most MAX_SURVEY_SIZE (64) at
+    its top height; the defaults reach size 54 at MAX_FLOAT_HEIGHT
+    (about 1.8e308).
     """
 
     eta_schedule: str = "log3"
@@ -314,6 +321,9 @@ class ModelConfig:
             raise ValueError("eta_floor must be at least 1")
         if self.x_min < 2:
             raise ValueError("x_min must be at least 2")
+        if self.x_min > MAX_X_MIN:
+            # _schedule_interval forms x_min**(den*eta)
+            raise ValueError(f"x_min must be at most {MAX_X_MIN}")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
 
@@ -524,6 +534,8 @@ def empirical_sha_distribution(
         raise ValueError("conditioned corank must be 0 or 1")
     if n % 2 != r % 2:
         raise ValueError("corank r requires n = r (mod 2)")
+    if n > MAX_DIST_SIZE:
+        raise ValueError(f"matrix size n must be at most {MAX_DIST_SIZE}, got {n}")
     if x < 1:
         # x = 0 draws only the zero matrix, whose corank is always n
         raise ValueError("entry bound x must be at least 1")
@@ -592,10 +604,19 @@ def empirical_cl_distribution(
     """
     if n < 0:
         raise ValueError(f"matrix size n must be nonnegative, got {n}")
+    if n > MAX_DIST_SIZE:
+        raise ValueError(f"matrix size n must be at most {MAX_DIST_SIZE}, got {n}")
     if k < 5:
         raise ValueError("precision k must be at least 5")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    # the last refinement works modulo p**(k + 26), of at most this many bits
+    bits = (k + 26) * p.bit_length()
+    if bits > MAX_CL_MODULUS_BITS:
+        raise ValueError(
+            f"precision k {k} at p = {p} allows a modulus of {bits} bits; "
+            f"cl-dist takes at most {MAX_CL_MODULUS_BITS}"
+        )
     if samples < 1:
         raise ValueError("need at least one sample")
     counts: Counter = Counter()

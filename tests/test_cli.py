@@ -601,6 +601,47 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, sampler, error",
+    [
+        # _schedule_interval forms x_min**(den*eta)
+        (
+            "simulate --h-grid 1e4,1e6,1e8 --curves-per-band 3 --x-min 1e4000 "
+            "--eta-floor 63 --calibration-exponent 1/1000",
+            "_survey_chunk",
+            "x_min must be at most 1000000000000",
+        ),
+        (
+            "sha-dist --n 2001 --r 1 --samples 1",
+            "sample_alternating",
+            "matrix size n must be at most 100, got 2001",
+        ),
+        (
+            "cl-dist --n 3000 --samples 1",
+            "_draws",
+            "matrix size n must be at most 100, got 3000",
+        ),
+        (
+            "cl-dist --n 8 --k 1e5 --samples 1",
+            "_draws",
+            "precision k 100000 at p = 2 allows a modulus of 200052 bits; "
+            "cl-dist takes at most 20000",
+        ),
+    ],
+    ids=["simulate-x_min", "sha-dist-n", "cl-dist-n", "cl-dist-k"],
+)
+def test_size_that_cannot_finish_exits_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, argv, sampler, error
+):
+    def no_draw(*args):
+        raise AssertionError(f"{sampler} ran")
+
+    monkeypatch.setattr(altrank.model, sampler, no_draw)
+    assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bad_calibration_exponent_is_named(tmp_path, capsys, value, source):

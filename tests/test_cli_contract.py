@@ -29,7 +29,7 @@ _VALUES = {
         "curves_per_band": (["1", "3", "5"], ["0", "-3"]),
         "eta_schedule": (["log3", "constant"], ["log2"]),
         "eta_floor": (["1", "2", "4"], ["0", "-1", "64", "300"]),
-        "x_min": (["2", "3", "1e3"], ["1", "0", "-2"]),
+        "x_min": (["2", "3", "1e3"], ["1", "0", "-2", "1000000000001"]),
         "calibration_exponent": (
             ["1/12", "1/6", "5/36", "1e-1", "1000/999"],
             ["0", "-1", "1/0", "1/1000000000", "12345/7", "1000", "1e-100000000"],
@@ -37,7 +37,7 @@ _VALUES = {
         "chunk": (["1", "2", "1e3"], ["0", "-1"]),
     },
     "sha-dist": {
-        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5"]),
+        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5", "101"]),
         "x": (["1", "2", "5"], ["0", "-1"]),
         "r": (["0", "1"], ["-1", "2"]),
         "p": (["2", "3", "7"], ["0", "1", "4", "-3", "3317044064679887385961981"]),
@@ -45,9 +45,9 @@ _VALUES = {
         "method": (["exact", "mod"], ["bogus"]),
     },
     "cl-dist": {
-        "n": (["0", "1", "3", "4"], ["-1"]),
+        "n": (["0", "1", "3", "4"], ["-1", "101"]),
         "p": (["2", "3", "5"], ["1", "4", "-2"]),
-        "k": (["5", "6", "8"], ["4", "0", "-1"]),
+        "k": (["5", "6", "8"], ["4", "0", "-1", "9975"]),
         "samples": (["1", "5", "10"], ["0", "-1"]),
     },
     "count": {

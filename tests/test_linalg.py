@@ -310,6 +310,30 @@ def test_smith_reconstruction_big_entries():
             assert prod.entry(i, j) == (dec.divisors[i] if i == j else 0)
 
 
+FULL_RANK_3x3 = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))  # leading minors 2, 36, 624
+
+
+@pytest.mark.parametrize("nr, nc", list(product(range(4), repeat=2)))
+def test_smith_reconstruction_every_small_shape(nr, nc):
+    # empty shapes leave an identity block with no rows or no columns
+    kinds = {
+        "zero": lambda i, j: 0,
+        "rank one": lambda i, j: (2, -4, 6)[i] * (3, 1, -5)[j],
+        "full rank": lambda i, j: FULL_RANK_3x3[i][j],
+    }
+    for kind, entry in kinds.items():
+        m = IntegerMatrix(nr, nc, tuple(entry(i, j) for i in range(nr) for j in range(nc)))
+        dec = smith_normal_form(m)
+        assert abs(determinant(dec.U)) == 1, kind
+        assert abs(determinant(dec.V)) == 1, kind
+        prod = matmul(matmul(dec.U, m), dec.V)
+        assert (prod.n_rows, prod.n_cols) == (nr, nc)
+        for i in range(nr):
+            for j in range(nc):
+                assert prod.entry(i, j) == (dec.divisors[i] if i == j else 0), kind
+        assert dec.divisors == smith_divisors(m) == divisors_from_minors(m), kind
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),

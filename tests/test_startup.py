@@ -130,6 +130,12 @@ def test_fractions_loads_decimal():
     assert "decimal" in child_modules("from fractions import Fraction")
 
 
+def test_groups_loads_no_linalg():
+    # linalg imports groups at its top, so groups reaches linalg's
+    # mod-p kernel only inside aut_order_brute
+    assert "altrank.linalg" not in child_modules("import altrank.groups")
+
+
 def test_import_altrank_loads_no_submodule():
     loaded = child_modules("import altrank")
     assert {m for m in loaded if m.startswith("altrank.")} == set()
