@@ -540,10 +540,13 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
     valuations of A's invariant factors (infinite for zero ones), so
     every returned int equals v_i exactly and every None marks a
     v_i >= prec.  The result depends on `rows` only mod p**prec and is
-    sorted ascending with Nones last.  `rows` is not modified.
+    sorted ascending with Nones last.  `rows` is copied, not modified,
+    and not reduced up front: the scan's a % p**best and the pivot's
+    exact division read any integer, and an entry is reduced mod
+    p**prec where it is read as a multiplier or written by an update.
     """
     q = p**prec
-    rows = [[v % q for v in r] for r in rows]
+    rows = [list(r) for r in rows]
     cols = list(range(n))
     vals = []
     for t in range(n):
@@ -570,7 +573,7 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
         inv = pow(rt[bj] // pb, -1, q)
         for i in range(t + 1, n):
             ri = rows[i]
-            c = ri[bj]
+            c = ri[bj] % q
             if c:
                 f = c // pb * inv % q
                 for j in cols:
@@ -608,8 +611,10 @@ def _alternating_valuations_mod(n: int, upper, p: int, prec: int):
     remaining block is 0 mod p**prec, one None is returned per remaining
     index (so always at least one when n is odd).  Entries are carried
     unreduced between steps and reduced mod p**prec where they are read
-    as multipliers; only residues mod p**prec decide anything.  `upper`
-    is not modified.
+    as multipliers; only residues mod p**prec decide anything.  A step
+    reads the two pivot columns of the remaining rows once, computes
+    each row's two factors once, and walks the pairs k < l by index,
+    with no list sliced per row.  `upper` is not modified.
     """
     q = p**prec
     a = list(upper)
@@ -639,12 +644,13 @@ def _alternating_valuations_mod(n: int, upper, p: int, prec: int):
         pi, pj = pos[bi], pos[bj]
         xs = [(a[pos[k][bi]] if k < bi else -a[pi[k]]) % q for k in live]
         ys = [(a[pos[k][bj]] if k < bj else -a[pj[k]]) % q for k in live]
-        for s, k in enumerate(live):
-            pk = pos[k]
+        m = len(live)
+        for s in range(m - 1):
+            pk = pos[live[s]]
             fx = xs[s] // pb * inv % q
             fy = ys[s] // pb * inv % q
-            for l, x, y in zip(live[s + 1 :], xs[s + 1 :], ys[s + 1 :]):
-                a[pk[l]] += fy * x - fx * y
+            for t in range(s + 1, m):
+                a[pk[live[t]]] += fy * xs[t] - fx * ys[t]
         vals += (best, best)
     return vals + [None] * len(live)
 

@@ -400,23 +400,29 @@ def _schedule_interval(height: int, cfg: ModelConfig):
     return lo, iroot(t_hi, num), eta, x
 
 
-def _alternating_upper(n: int, x: int, getrandbits) -> list:
-    """n(n-1)/2 upper entries uniform on {-x, ..., x}: the values and
-    the RNG state of as many rng.randrange(2*x + 1) - x calls, where
-    getrandbits is rng.getrandbits.
+def _uniform_list(getrandbits, span: int, count: int, lo: int = 0) -> list:
+    """count values lo + r, r uniform on {0, ..., span - 1}: the values
+    and the RNG state of as many lo + rng.randrange(span) calls, where
+    getrandbits is rng.getrandbits and span >= 1.
 
-    The rejection loop of _draws, written out here, so that an entry
+    The rejection loop of _draws, written out here, so that a value
     costs no generator resumption.
     """
-    span = 2 * x + 1
     k = span.bit_length()
-    upper = []
-    for _ in range(n * (n - 1) // 2):
+    out = []
+    for _ in range(count):
         r = getrandbits(k)
         while r >= span:
             r = getrandbits(k)
-        upper.append(r - x)
-    return upper
+        out.append(lo + r)
+    return out
+
+
+def _alternating_upper(n: int, x: int, getrandbits) -> list:
+    """n(n-1)/2 upper entries uniform on {-x, ..., x}: the values and
+    the RNG state of as many rng.randrange(2*x + 1) - x calls, where
+    getrandbits is rng.getrandbits."""
+    return _uniform_list(getrandbits, 2 * x + 1, n * (n - 1) // 2, -x)
 
 
 def sample_alternating(n: int, x: int, rng: Random) -> AlternatingMatrix:
@@ -528,7 +534,9 @@ def empirical_sha_distribution(
     modulo a power of p: its count of vanishing diagonals certifies the
     corank, and its valuations are those of the integer Smith form,
     which stays the route's oracle in the tests.  Certification draws
-    no random numbers.
+    no random numbers.  A draw is the upper-entry list of
+    sample_alternating, the same values from the same RNG calls, passed
+    to the kernel without an AlternatingMatrix around it.
     """
     if r not in (0, 1):
         raise ValueError("conditioned corank must be 0 or 1")
@@ -544,13 +552,17 @@ def empirical_sha_distribution(
     if not is_prime(p):
         # the kernel inverts units mod p**prec, which needs p prime
         raise ValueError(f"p must be prime, got {p}")
+    if n < 0:
+        # no draw would refuse it: n(n-1)/2 is positive at n < 0
+        raise ValueError("dimension must be nonnegative")
+    getrandbits = rng.getrandbits
     counts: Counter = Counter()
     drawn = 0
     kept = 0
     while kept < samples:
-        a = sample_alternating(n, x, rng)
+        upper = _alternating_upper(n, x, getrandbits)
         drawn += 1
-        exponents = _corank_p_exponents(n, a.upper, p, r)
+        exponents = _corank_p_exponents(n, upper, p, r)
         if exponents is None:
             continue
         kept += 1
@@ -619,20 +631,22 @@ def empirical_cl_distribution(
         )
     if samples < 1:
         raise ValueError("need at least one sample")
+    getrandbits = rng.getrandbits
+    cells = n * n
     counts: Counter = Counter()
     refinement_rounds = 0
-    digits = _draws(rng, p**k)
-    refinements = _draws(rng, p * p)
     for _ in range(samples):
-        entries = [list(islice(digits, n)) for _ in range(n)]
+        # row-major entries; each round's digits are drawn in the same order
+        entries = _uniform_list(getrandbits, p**k, cells)
         prec = k
         while True:
             step = p**prec
-            for row in entries:
-                for j in range(n):
-                    row[j] += step * next(refinements)
-            vals = diag_valuations_mod(entries, n, p, prec + 2)
-            if None not in vals and all(v <= prec - 2 for v in vals):
+            refinements = _uniform_list(getrandbits, p * p, cells)
+            entries = [e + step * d for e, d in zip(entries, refinements)]
+            rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+            vals = diag_valuations_mod(rows, n, p, prec + 2)
+            # vals ascend with Nones last
+            if not vals or vals[-1] is not None and vals[-1] <= prec - 2:
                 break
             refinement_rounds += 1
             prec += 2
@@ -680,8 +694,10 @@ def _survey_chunk(spec):
     the same draws as model_params and sample_alternating make; (eta, x)
     is reused while the height stays in its schedule interval.  The size
     bit is rng.randrange(2) by the rejection loop of _draws written out,
-    and the entries come from _alternating_upper, so no generator is
-    resumed for either.  Module level so process pools can pickle it.
+    and the entries are drawn by _uniform_list, called directly rather
+    than through _alternating_upper, so no generator is resumed and no
+    wrapper is called per curve.  Module level so process pools can
+    pickle it.
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
@@ -691,11 +707,13 @@ def _survey_chunk(spec):
     for _, _, h in islice(_curve_stream(height_cap, rng), size):
         if not lo <= h <= hi:
             lo, hi, eta, x = _schedule_interval(h, cfg)
+            span = 2 * x + 1
         bit = getrandbits(2)
         while bit >= 2:
             bit = getrandbits(2)
         n = eta + bit
-        corank = n - _alternating_rank(n, _alternating_upper(n, x, getrandbits))
+        upper = _uniform_list(getrandbits, span, n * (n - 1) // 2, -x)
+        corank = n - _alternating_rank(n, upper)
         hist[min(corank, MAX_SURVEY_RANK)] += 1
     return [0] + [sum(hist[r:]) for r in range(1, MAX_SURVEY_RANK + 1)]
 

@@ -627,8 +627,32 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
             "precision k 100000 at p = 2 allows a modulus of 200052 bits; "
             "cl-dist takes at most 20000",
         ),
+        (
+            "sha-dist --n 2001 --r 1 --samples 1",
+            "_alternating_upper",
+            "matrix size n must be at most 100, got 2001",
+        ),
+        (
+            "cl-dist --n 3000 --samples 1",
+            "_uniform_list",
+            "matrix size n must be at most 100, got 3000",
+        ),
+        (
+            "cl-dist --n 8 --k 1e5 --samples 1",
+            "_uniform_list",
+            "precision k 100000 at p = 2 allows a modulus of 200052 bits; "
+            "cl-dist takes at most 20000",
+        ),
     ],
-    ids=["simulate-x_min", "sha-dist-n", "cl-dist-n", "cl-dist-k"],
+    ids=[
+        "simulate-x_min",
+        "sha-dist-n",
+        "cl-dist-n",
+        "cl-dist-k",
+        "sha-dist-n-upper",
+        "cl-dist-n-list",
+        "cl-dist-k-list",
+    ],
 )
 def test_size_that_cannot_finish_exits_2_before_any_draw(
     tmp_path, capsys, monkeypatch, argv, sampler, error
@@ -639,6 +663,19 @@ def test_size_that_cannot_finish_exits_2_before_any_draw(
     monkeypatch.setattr(altrank.model, sampler, no_draw)
     assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", ["sha-dist --n -2 --r 0", "sha-dist --n -1 --r 1"])
+def test_negative_sha_size_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, argv):
+    # n(n-1)/2 entries is a positive count at n < 0, so only the size
+    # check stops the draw
+    def no_draw(*args):
+        raise AssertionError("_alternating_upper ran")
+
+    monkeypatch.setattr(altrank.model, "_alternating_upper", no_draw)
+    assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: dimension must be nonnegative\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -49,6 +49,7 @@ from altrank.model import (
     _schedule_interval,
     _small_band_nonempty,
     _survey_chunk,
+    _uniform_list,
 )
 from altrank.parallel import chunk_seed
 from altrank.periods import period_bound_scan
@@ -303,6 +304,16 @@ def test_alternating_upper_is_randrange(x):
         got = _alternating_upper(n, x, ours.getrandbits)
         assert got == [ref.randrange(2 * x + 1) - x for _ in range(n * (n - 1) // 2)]
         assert ours.getstate() == ref.getstate(), n
+
+
+@pytest.mark.parametrize("span", [1, 2, 4, 2**8, 20001, 10**30])
+def test_uniform_list_is_randrange(span):
+    # sha-dist's entries and cl-dist's digits are drawn through it
+    ours, ref = Random(span), Random(span)
+    for count, lo in [(0, 0), (1, 0), (300, 0), (300, -(span // 2)), (7, -5)]:
+        got = _uniform_list(ours.getrandbits, span, count, lo)
+        assert got == [lo + ref.randrange(span) for _ in range(count)]
+        assert ours.getstate() == ref.getstate(), (count, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +706,35 @@ def test_cl_distribution_validation():
     for p in (1, 4):
         with pytest.raises(ValueError, match="prime"):
             empirical_cl_distribution(4, p, 6, 10, Random(0))
+
+
+def test_distribution_streams_at_benchmark_shapes():
+    # Counts and draw statistics at the sha and cl benchmark shapes, so
+    # that any change in the order of the RNG calls shows; (9, 1, 1, 3)
+    # rejects draws of corank 3.
+    sha = [
+        (
+            (10, 10**4, 0, 2),
+            {"2:[1,1,1,1]": 1, "2:[1,1]": 75, "2:[2,2,1,1]": 1, "2:[2,2]": 38,
+             "2:[3,3]": 22, "2:[4,4]": 11, "2:[5,5]": 7, "2:[6,6]": 2,
+             "2:[7,7]": 3, "2:[8,8]": 1, "2:[]": 139},
+            300,
+        ),
+        ((9, 50, 1, 3), {"3:[1,1]": 14, "3:[]": 286}, 300),
+        ((9, 1, 1, 3), {"3:[1,1]": 11, "3:[2,2]": 1, "3:[]": 288}, 302),
+    ]
+    for args, counts, draws in sha:
+        dist = empirical_sha_distribution(*args, 300, Random(1))
+        assert (dist.counts, dist.meta["draws"]) == (counts, draws), args
+    dist = empirical_cl_distribution(8, 2, 8, 600, Random(1))
+    assert dist.counts == {
+        "2:[1,1]": 24, "2:[1]": 160, "2:[2,1,1]": 2, "2:[2,1]": 25,
+        "2:[2,2]": 1, "2:[2]": 102, "2:[3,1]": 12, "2:[3,2,1]": 1,
+        "2:[3,2]": 1, "2:[3]": 51, "2:[4,1]": 5, "2:[4]": 18, "2:[5,1,1]": 1,
+        "2:[5,1]": 3, "2:[5]": 9, "2:[6,1]": 3, "2:[6]": 6, "2:[7,1]": 2,
+        "2:[7]": 1, "2:[8]": 4, "2:[9]": 1, "2:[]": 168,
+    }
+    assert dist.meta["refinement_rounds"] == 9
 
 
 def test_empirical_distribution_container():
