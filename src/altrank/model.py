@@ -76,15 +76,10 @@ MIN_HEIGHT = 100
 # the survey's slope fit and the period scan take heights as floats
 MAX_FLOAT_HEIGHT = int(sys.float_info.max)
 
-# bounds that keep the schedule's powers and the survey's matrices small
+# bounds the cost of parsing calibration_exponent
 MAX_CALIBRATION_TERM = 1000
-MAX_SURVEY_SIZE = 64
-MAX_X_MIN = 10**12
 
-# bounds that keep one sha-dist or cl-dist draw to about a second: the
-# matrix size, and the bit length of cl-dist's largest modulus
-MAX_DIST_SIZE = 100
-MAX_CL_MODULUS_BITS = 20_000
+DRAW_BUDGET = 15 * 10**6  # steps of about 0.1 us in one draw, as _check_draw_cost counts them
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +273,9 @@ class ModelConfig:
     1e4 and 1e30.
 
     The numerator and denominator of calibration_exponent are at most
-    MAX_CALIBRATION_TERM (1000), x_min is at most MAX_X_MIN (1e12), and
-    rank_survey takes matrices of size at most MAX_SURVEY_SIZE (64) at
-    its top height; the defaults reach size 54 at MAX_FLOAT_HEIGHT
-    (about 1.8e308).
+    MAX_CALIBRATION_TERM (1000).  rank_survey refuses a schedule whose
+    top-height rank (n = eta + 1, b = n * bits(x) / 3) and power
+    x**(den*eta) (n = 1) pass DRAW_BUDGET at n**3 * (1 + b / 300)**2 steps.
     """
 
     eta_schedule: str = "log3"
@@ -321,9 +315,6 @@ class ModelConfig:
             raise ValueError("eta_floor must be at least 1")
         if self.x_min < 2:
             raise ValueError("x_min must be at least 2")
-        if self.x_min > MAX_X_MIN:
-            # _schedule_interval forms x_min**(den*eta)
-            raise ValueError(f"x_min must be at most {MAX_X_MIN}")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
 
@@ -476,6 +467,16 @@ def draw_model(height: int, cfg: ModelConfig, rng: Random) -> ModelDraw:
 # empirical distributions
 
 
+def _check_draw_cost(keys: str, values, *eliminations) -> None:
+    """Refuse a draw whose eliminations (n, b) pass DRAW_BUDGET steps, in
+    ints: an n x n elimination on entries of about b bits (or work that
+    costs as much) takes n**3 * (1 + b / 300)**2 steps of about 0.1 us.
+    keys.format(*values) names the keys, an int past 2**100 by its bits."""
+    if sum(n**3 * (300 + b) ** 2 for n, b in eliminations) > DRAW_BUDGET * 300**2:
+        vs = (f"of {v.bit_length()} bits" if isinstance(v, int) and v >> 100 else v for v in values)
+        raise ValueError(f"{keys.format(*vs)}; one draw may take more than {DRAW_BUDGET / 1e7:g} s")
+
+
 class Estimate(NamedTuple):
     value: float
     stderr: float
@@ -542,8 +543,6 @@ def empirical_sha_distribution(
         raise ValueError("conditioned corank must be 0 or 1")
     if n % 2 != r % 2:
         raise ValueError("corank r requires n = r (mod 2)")
-    if n > MAX_DIST_SIZE:
-        raise ValueError(f"matrix size n must be at most {MAX_DIST_SIZE}, got {n}")
     if x < 1:
         # x = 0 draws only the zero matrix, whose corank is always n
         raise ValueError("entry bound x must be at least 1")
@@ -555,6 +554,9 @@ def empirical_sha_distribution(
     if n < 0:
         # no draw would refuse it: n(n-1)/2 is positive at n < 0
         raise ValueError("dimension must be nonnegative")
+    # the kernel mod p**10 costs as half its size (2 x 2 pivots); Bareiss averages n*bits(x)/3 bits
+    kernel = ((n + 1) // 2, 10 * (p - 1).bit_length())
+    _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n, n * x.bit_length() // 3))
     getrandbits = rng.getrandbits
     counts: Counter = Counter()
     drawn = 0
@@ -616,21 +618,15 @@ def empirical_cl_distribution(
     """
     if n < 0:
         raise ValueError(f"matrix size n must be nonnegative, got {n}")
-    if n > MAX_DIST_SIZE:
-        raise ValueError(f"matrix size n must be at most {MAX_DIST_SIZE}, got {n}")
     if k < 5:
         raise ValueError("precision k must be at least 5")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    # the last refinement works modulo p**(k + 26), of at most this many bits
-    bits = (k + 26) * p.bit_length()
-    if bits > MAX_CL_MODULUS_BITS:
-        raise ValueError(
-            f"precision k {k} at p = {p} allows a modulus of {bits} bits; "
-            f"cl-dist takes at most {MAX_CL_MODULUS_BITS}"
-        )
     if samples < 1:
         raise ValueError("need at least one sample")
+    # the first elimination mod p**(k + 2), of log2(p) bits a digit rounded up (exact at p = 2),
+    # and its pivot inverses (n + 2); about 1 draw in 50 refines
+    _check_draw_cost("n {}, p {} and k {}", (n, p, k), (n + 2, (k + 2) * (p - 1).bit_length()))
     getrandbits = rng.getrandbits
     cells = n * n
     counts: Counter = Counter()
@@ -735,18 +731,22 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
         raise ValueError(f"grid heights must be at least {MIN_HEIGHT}")
     if h_grid[-1] > MAX_FLOAT_HEIGHT:
         raise ValueError(f"grid heights must be at most {MAX_FLOAT_HEIGHT:.6g}")
-    # the schedule's largest size, eta + 1, comes at the top height
-    size = schedule_eta(h_grid[-1], cfg) + 1
-    if size > MAX_SURVEY_SIZE:
-        key = "eta_floor" if size == cfg.eta_floor + 1 else "calibration_exponent"
-        raise ValueError(
-            f"{key} {getattr(cfg, key)} gives matrices of size {size} at "
-            f"height {h_grid[-1]}; the survey takes at most {MAX_SURVEY_SIZE}"
-        )
     if not all(_band_nonempty(h) for h in h_grid):
         raise ValueError("some grid band contains no valid curve")
     if curves_per_band < 1:
         raise ValueError("need at least one curve per band")
+    num, den = cfg.calibration_exponent.as_integer_ratio()
+    eta = schedule_eta(h_grid[-1], cfg)
+    bits = schedule_x(h_grid[-1], eta, cfg).bit_length()
+    key = "eta_floor" if eta == cfg.eta_floor else "calibration_exponent"
+    # the rank as in sha-dist; x**(den*eta) at b / 4, or 3b when its root runs Newton (num > 2)
+    _check_draw_cost(
+        key + " {} gives matrices of size {} at height {}, with x_min {} and "
+        "calibration_exponent {} entries of {} bits",
+        (getattr(cfg, key), eta + 1, h_grid[-1], cfg.x_min, cfg.calibration_exponent, bits),
+        (eta + 1, (eta + 1) * bits // 3),
+        (1, den * eta * bits * (12 if num > 2 else 1) // 4),
+    )
     specs = []
     for band_index, h in enumerate(h_grid):
         for chunk_index, size in enumerate(

@@ -122,14 +122,14 @@ def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0, exact."""
     if n < 0:
         raise ValueError("iroot expects n >= 0")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
+    if n.bit_length() <= k:
+        return min(n, 1)  # n < 2**k
     if k == 2:
         return math.isqrt(n)
-    # integer Newton from 2**ceil(bits/k) > root decreases to the floor
-    x = 1 << -(-n.bit_length() // k)
+    # Newton from a float guess of the top 50 bits; its first step lands at or above the floor
+    s = max(0, n.bit_length() // k - 50)
+    x = (int(math.exp(math.log(n >> s * k) / k)) + 1) << s
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
         x = y
     return x

@@ -561,6 +561,7 @@ def test_unknown_method_in_config_file_exits_2(tmp_path, capsys):
 
 
 _BOUND = "must lie in [1/1000, 1000], with numerator and denominator at most 1000"
+_BUDGET = "one draw may take more than 1.5 s"
 
 
 @pytest.mark.parametrize(
@@ -573,14 +574,15 @@ _BOUND = "must lie in [1/1000, 1000], with numerator and denominator at most 100
             "--calibration-exponent",
             "1000",
             "calibration_exponent 1000 gives matrices of size 25151 at height "
-            "1000000000000; the survey takes at most 64",
+            "1000000000000, with x_min 2 and calibration_exponent 1000 entries of "
+            f"3 bits; {_BUDGET}",
         ),
         ("--calibration-exponent", "12345/7", f"calibration_exponent 12345/7 {_BOUND}"),
         (
             "--eta-floor",
             "300",
-            "eta_floor 300 gives matrices of size 301 at height 1000000000000; "
-            "the survey takes at most 64",
+            "eta_floor 300 gives matrices of size 301 at height 1000000000000, "
+            f"with x_min 2 and calibration_exponent 1/12 entries of 2 bits; {_BUDGET}",
         ),
         # Fraction forms 10**100000000 from these strings before any bound
         ("--calibration-exponent", "1e-100000000", f"calibration_exponent 1e-100000000 {_BOUND}"),
@@ -609,39 +611,65 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
             "simulate --h-grid 1e4,1e6,1e8 --curves-per-band 3 --x-min 1e4000 "
             "--eta-floor 63 --calibration-exponent 1/1000",
             "_survey_chunk",
-            "x_min must be at most 1000000000000",
+            "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min "
+            f"of 13288 bits and calibration_exponent 1/1000 entries of 13288 bits; {_BUDGET}",
         ),
         (
             "sha-dist --n 2001 --r 1 --samples 1",
             "sample_alternating",
-            "matrix size n must be at most 100, got 2001",
+            f"n 2001, x 10000 and p 2; {_BUDGET}",
         ),
         (
             "cl-dist --n 3000 --samples 1",
             "_draws",
-            "matrix size n must be at most 100, got 3000",
+            f"n 3000, p 2 and k 8; {_BUDGET}",
         ),
         (
             "cl-dist --n 8 --k 1e5 --samples 1",
             "_draws",
-            "precision k 100000 at p = 2 allows a modulus of 200052 bits; "
-            "cl-dist takes at most 20000",
+            f"n 8, p 2 and k 100000; {_BUDGET}",
         ),
         (
             "sha-dist --n 2001 --r 1 --samples 1",
             "_alternating_upper",
-            "matrix size n must be at most 100, got 2001",
+            f"n 2001, x 10000 and p 2; {_BUDGET}",
         ),
         (
             "cl-dist --n 3000 --samples 1",
             "_uniform_list",
-            "matrix size n must be at most 100, got 3000",
+            f"n 3000, p 2 and k 8; {_BUDGET}",
         ),
         (
             "cl-dist --n 8 --k 1e5 --samples 1",
             "_uniform_list",
-            "precision k 100000 at p = 2 allows a modulus of 200052 bits; "
-            "cl-dist takes at most 20000",
+            f"n 8, p 2 and k 100000; {_BUDGET}",
+        ),
+        # each lies inside the old per-key bounds on n, k, x_min and the
+        # survey size, and would not finish: n**3 products of 10000-bit
+        # residues, a rank on 422-bit entries at n = 64, and Bareiss on
+        # 13288-bit entries at n = 60
+        (
+            "cl-dist --n 100 --k 9974 --samples 1",
+            "_uniform_list",
+            f"n 100, p 2 and k 9974; {_BUDGET}",
+        ),
+        (
+            "simulate --eta-schedule constant --eta-floor 63 --calibration-exponent 1000 "
+            "--h-grid 1e4,1e6,1e8 --curves-per-band 1",
+            "_survey_chunk",
+            "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min 2 "
+            f"and calibration_exponent 1000 entries of 422 bits; {_BUDGET}",
+        ),
+        (
+            "sha-dist --n 60 --x 1e4000 --samples 3000",
+            "_alternating_upper",
+            f"n 60, x of 13288 bits and p 2; {_BUDGET}",
+        ),
+        # a k that no float holds
+        (
+            "cl-dist --n 8 --k 1e400 --samples 1",
+            "_uniform_list",
+            f"n 8, p 2 and k of 1329 bits; {_BUDGET}",
         ),
     ],
     ids=[
@@ -652,6 +680,10 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
         "sha-dist-n-upper",
         "cl-dist-n-list",
         "cl-dist-k-list",
+        "cl-dist-n-k",
+        "simulate-constant-schedule-x",
+        "sha-dist-x",
+        "cl-dist-k-float",
     ],
 )
 def test_size_that_cannot_finish_exits_2_before_any_draw(

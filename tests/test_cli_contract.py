@@ -14,7 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from altrank.cli import _COMMANDS, _GLOBAL_DEFAULTS, _SUITES, main
 
@@ -136,6 +136,17 @@ def invocations(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(invocations(), st.booleans())
+# inputs inside every per-key bound that a single draw budget refuses
+@example(("cl-dist --n 100 --k 9974 --samples 1".split(), []), False)
+@example(
+    (
+        "simulate --eta-schedule constant --eta-floor 63 --calibration-exponent 1000 "
+        "--h-grid 1e4,1e6,1e8 --curves-per-band 1".split(),
+        [],
+    ),
+    False,
+)
+@example(("sha-dist --n 60 --x 1e4000 --samples 3000".split(), []), False)
 def test_every_run_keeps_the_exit_contract(invocation, out_exists):
     argv, lines = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -453,17 +453,43 @@ def test_calibration_exponent_terms_are_bounded():
             ModelConfig(calibration_exponent=bad)
 
 
-def test_survey_size_bound(monkeypatch):
-    # the bound is on eta + 1 at the top height, and is checked before
-    # any chunk; the defaults stay well inside it up to the float range
+def test_survey_draw_budget(monkeypatch):
+    # the draw budget judges the top height's rank and schedule power,
+    # before any chunk; the defaults stay inside it up to the float range
     monkeypatch.setattr(altrank.model, "_survey_chunk", lambda spec: [0] * 6)
     grid = [10**4, 10**6, 10**8]
-    rank_survey(grid, 1, ModelConfig(eta_floor=63))  # size 64
-    with pytest.raises(ValueError, match="eta_floor 64 gives matrices of size 65 "):
-        rank_survey(grid, 1, ModelConfig(eta_floor=64))
+    rank_survey(grid, 1, ModelConfig(eta_floor=63))  # size 64, x = 2
+    # the same size with 422-bit entries: a rank of about 30 s
+    cfg = ModelConfig(eta_schedule="constant", eta_floor=63, calibration_exponent=1000)
+    with pytest.raises(ValueError, match="eta_floor 63 gives matrices of size 64 .* 422 bits"):
+        rank_survey(grid, 1, cfg)
     top = altrank.model.MAX_FLOAT_HEIGHT
     assert schedule_eta(top, ModelConfig()) + 1 == 54
     rank_survey([top // 4, top // 2, top], 1, ModelConfig())
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "sampler, run",
+    [
+        # the largest sizes the per-key bounds took, at about a second
+        ("_alternating_upper", lambda: empirical_sha_distribution(99, 10**4, 1, 2, 1, Random(1))),
+        ("_alternating_upper", lambda: empirical_sha_distribution(100, 10**4, 0, 2, 1, Random(1))),
+        # the largest prime is_prime takes, at 82 bits
+        ("_uniform_list", lambda: empirical_cl_distribution(100, 3317044064679887385961813, 8, 1, Random(1))),
+    ],
+    ids=["sha-dist-n-99", "sha-dist-n-100", "cl-dist-n-100-p82"],
+)
+def test_draw_budget_accepts_the_old_size_bounds(monkeypatch, sampler, run):
+    def drawn(*args):
+        raise _Drawn
+
+    monkeypatch.setattr(altrank.model, sampler, drawn)
+    with pytest.raises(_Drawn):
+        run()
 
 
 def test_model_params_draws_both_sizes():
