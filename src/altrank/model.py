@@ -605,16 +605,17 @@ def empirical_cl_distribution(
 ) -> EmpiricalDistribution:
     """p-part labels of cokernels of uniform square matrices mod p**k.
 
-    Entries are only known to a finite number of p-adic digits, so each
-    draw is certified by one elimination modulo p**(prec+2), the digits
-    drawn so far: no diagonal may vanish and every valuation must be at
-    most prec-2.  The kernel's ints are exact, so an accepted draw's
-    cokernel does not depend on the digits not yet drawn.  The bound
-    prec-2 is stricter than exactness needs; it fixes which draws are
-    refined, and so the RNG stream and `refinement_rounds`.
-    An uncertified draw gets two more uniform digits appended to every
-    entry (which refines the same p-adic law) and is retried at higher
-    precision.
+    Entries are only known to a finite number of p-adic digits: each
+    draw starts with its first k + 2 digits, one uniform value mod
+    p**(k + 2) per entry, and is certified by one elimination modulo
+    p**(prec+2), the digits drawn so far, at prec = k: no diagonal may
+    vanish and every valuation must be at most prec-2.  The kernel's
+    ints are exact, so an accepted draw's cokernel does not depend on
+    the digits not yet drawn.  The bound prec-2 is stricter than
+    exactness needs; it fixes which draws are refined, and so the RNG
+    stream and `refinement_rounds`.  An uncertified draw gets two more
+    uniform digits appended to every entry (which refines the same
+    p-adic law) and is retried with prec raised by 2.
     """
     if n < 0:
         raise ValueError(f"matrix size n must be nonnegative, got {n}")
@@ -632,13 +633,11 @@ def empirical_cl_distribution(
     counts: Counter = Counter()
     refinement_rounds = 0
     for _ in range(samples):
-        # row-major entries; each round's digits are drawn in the same order
-        entries = _uniform_list(getrandbits, p**k, cells)
+        # row-major entries, known mod p**(prec + 2); a refinement round
+        # draws two digits per entry in the same order
+        entries = _uniform_list(getrandbits, p ** (k + 2), cells)
         prec = k
         while True:
-            step = p**prec
-            refinements = _uniform_list(getrandbits, p * p, cells)
-            entries = [e + step * d for e, d in zip(entries, refinements)]
             rows = [entries[i * n : (i + 1) * n] for i in range(n)]
             vals = diag_valuations_mod(rows, n, p, prec + 2)
             # vals ascend with Nones last
@@ -651,6 +650,9 @@ def empirical_cl_distribution(
                     "cokernel structure failed to stabilize; this has "
                     "probability around p**-24 and suggests a broken rng"
                 )
+            step = p**prec
+            refinements = _uniform_list(getrandbits, p * p, cells)
+            entries = [e + step * d for e, d in zip(entries, refinements)]
         counts[tuple(vals)] += 1
     return EmpiricalDistribution(
         _label_counts(p, counts),

@@ -1019,7 +1019,7 @@ GOLDEN_RUNS = {
     ),
     "cl-dist": (
         ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
-        {"cl_dist.json": "59192f45238fddb4475db4b2f31fa195caba8dc94aaca30caa2d6bd78861e8c4"},
+        {"cl_dist.json": "65632b6aa5d48c2feecd0e6bb2a090d8b546a28dd3b60250e922889d70c63959"},
     ),
     "count": (
         ["--n", "3", "--r", "2", "--norm", "box", "--bounds", "1..5"],

@@ -37,7 +37,7 @@ _VALUES = {
         "chunk": (["1", "2", "1e3"], ["0", "-1"]),
     },
     "sha-dist": {
-        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5", "101"]),
+        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5", "101", "300"]),
         "x": (["1", "2", "5"], ["0", "-1"]),
         "r": (["0", "1"], ["-1", "2"]),
         "p": (["2", "3", "7"], ["0", "1", "4", "-3", "3317044064679887385961981"]),
@@ -45,9 +45,9 @@ _VALUES = {
         "method": (["exact", "mod"], ["bogus"]),
     },
     "cl-dist": {
-        "n": (["0", "1", "3", "4"], ["-1", "101"]),
+        "n": (["0", "1", "3", "4"], ["-1", "101", "300"]),
         "p": (["2", "3", "5"], ["1", "4", "-2"]),
-        "k": (["5", "6", "8"], ["4", "0", "-1", "9975"]),
+        "k": (["5", "6", "8"], ["4", "0", "-1", "9975", "1e6"]),
         "samples": (["1", "5", "10"], ["0", "-1"]),
     },
     "count": {

@@ -12,6 +12,7 @@ from altrank.cli import main
 from altrank.groups import AbelianPGroup, group_label
 from altrank.linalg import (
     AlternatingMatrix,
+    IntegerMatrix,
     _p_valuation,
     cokernel,
     kernel_rank,
@@ -724,6 +725,37 @@ def test_cl_distribution_small_matches_gl_probability():
     assert dist.meta["refinement_rounds"] >= 0
 
 
+@pytest.mark.parametrize(
+    "n, p, k, samples, seed",
+    [(8, 2, 8, 300, 1), (5, 3, 5, 300, 11), (4, 2, 5, 2000, 3), (1, 2, 5, 500, 5), (0, 2, 5, 5, 6)],
+)
+def test_cl_distribution_matches_exact_smith_on_replayed_draws(n, p, k, samples, seed):
+    # Replays the sampler's digit order with rng.randrange: a draw's
+    # entries, row-major, are uniform mod p**(k + 2), and each refinement
+    # adds p**prec times a uniform digit pair mod p**2 to every entry, in
+    # the same order, prec having been raised by 2.  Each draw is
+    # classified by the p-valuations of its exact integer Smith divisors,
+    # and refined when a divisor is 0 or its valuation exceeds prec - 2.
+    rng = Random(seed)
+    counts: dict = {}
+    rounds = 0
+    for _ in range(samples):
+        entries = [rng.randrange(p ** (k + 2)) for _ in range(n * n)]
+        prec = k
+        while True:
+            divisors = smith_divisors(IntegerMatrix(n, n, entries))
+            if all(d and _p_valuation(d, p) <= prec - 2 for d in divisors):
+                break
+            rounds += 1
+            prec += 2
+            entries = [e + p**prec * rng.randrange(p * p) for e in entries]
+        vals = [_p_valuation(d, p) for d in divisors]
+        label = group_label(AbelianPGroup.from_valuations(p, vals))
+        counts[label] = counts.get(label, 0) + 1
+    dist = empirical_cl_distribution(n, p, k, samples, Random(seed))
+    assert (dist.counts, dist.meta["refinement_rounds"]) == (dict(sorted(counts.items())), rounds)
+
+
 def test_cl_distribution_validation():
     with pytest.raises(ValueError):
         empirical_cl_distribution(4, 2, 3, 10, Random(0))  # k too small
@@ -754,13 +786,13 @@ def test_distribution_streams_at_benchmark_shapes():
         assert (dist.counts, dist.meta["draws"]) == (counts, draws), args
     dist = empirical_cl_distribution(8, 2, 8, 600, Random(1))
     assert dist.counts == {
-        "2:[1,1]": 24, "2:[1]": 160, "2:[2,1,1]": 2, "2:[2,1]": 25,
-        "2:[2,2]": 1, "2:[2]": 102, "2:[3,1]": 12, "2:[3,2,1]": 1,
-        "2:[3,2]": 1, "2:[3]": 51, "2:[4,1]": 5, "2:[4]": 18, "2:[5,1,1]": 1,
-        "2:[5,1]": 3, "2:[5]": 9, "2:[6,1]": 3, "2:[6]": 6, "2:[7,1]": 2,
-        "2:[7]": 1, "2:[8]": 4, "2:[9]": 1, "2:[]": 168,
+        "2:[1,1,1]": 1, "2:[1,1]": 18, "2:[10]": 2, "2:[1]": 150,
+        "2:[2,1]": 20, "2:[2,2]": 1, "2:[2]": 100, "2:[3,1]": 12,
+        "2:[3,2]": 4, "2:[3]": 44, "2:[4,1]": 10, "2:[4,2]": 2, "2:[4,3]": 1,
+        "2:[4]": 26, "2:[5,1]": 3, "2:[5]": 8, "2:[6,1]": 2, "2:[6]": 4,
+        "2:[7,1,1]": 1, "2:[7]": 2, "2:[9,1]": 1, "2:[9]": 1, "2:[]": 187,
     }
-    assert dist.meta["refinement_rounds"] == 9
+    assert dist.meta["refinement_rounds"] == 11
 
 
 def test_empirical_distribution_container():
