@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import ChainMap
@@ -279,9 +280,10 @@ def _reference(labels, support, mass) -> dict:
 
 def _distribution_payload(dist, reference, **extra) -> dict:
     """The body of sha_dist.json and cl_dist.json; `extra` adds keys."""
-    # a fixed summation order keeps the float independent of the hash seed
+    # fsum is correctly rounded, so neither the hash seed nor the Python
+    # version (built-in sum of floats changed in 3.12) moves these floats
     support = sorted(set(dist.counts) | set(reference))
-    tv = 0.5 * sum(
+    tv = 0.5 * math.fsum(
         abs(dist.counts.get(lbl, 0) / dist.total - reference.get(lbl, 0.0))
         for lbl in support
     )
@@ -290,7 +292,7 @@ def _distribution_payload(dist, reference, **extra) -> dict:
         "total": dist.total,
         "meta": dist.meta,
         "reference": reference,
-        "reference_sum": sum(reference.values()),
+        "reference_sum": math.fsum(reference.values()),
         "tv_distance_truncated": tv,
         **extra,
     }

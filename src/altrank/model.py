@@ -83,31 +83,6 @@ DRAW_BUDGET = 15 * 10**6  # steps of about 0.1 us in one draw, as _check_draw_co
 
 
 # ---------------------------------------------------------------------------
-# uniform draws
-
-
-def _draws(rng: Random, span: int):
-    """Endless iterator of the integers that successive
-    rng.randrange(span) calls would return, for span >= 1.
-
-    A copy of CPython's Random._randbelow_with_getrandbits: getrandbits
-    of span's bit length, redrawn while it is at least span.  Each value
-    is drawn when it is taken, so the RNG state after taking m values is
-    the state after m randrange calls, and iterators over one rng
-    interleave exactly as the calls would.  What this skips is
-    randrange's argument handling and a function call per draw, most of
-    the cost of a draw at the model's small spans.
-    """
-    getrandbits = rng.getrandbits
-    k = span.bit_length()
-    while True:
-        r = getrandbits(k)
-        while r >= span:
-            r = getrandbits(k)
-        yield r
-
-
-# ---------------------------------------------------------------------------
 # the curve family
 
 
@@ -138,7 +113,8 @@ def is_valid_curve(a4: int, a6: int) -> bool:
     g = math.gcd(a4, a6)
     if g < 16:
         return True
-    root = iroot(g, 4) if a4 else iroot(g, 6)
+    # floor(sqrt(floor(sqrt(g)))) is floor(g**(1/4))
+    root = math.isqrt(math.isqrt(g)) if a4 else iroot(g, 6)
     for d in range(2, min(root, MAX_TRIAL_DIVISOR) + 1):
         if a4 % d**4 == 0 and a6 % d**6 == 0:
             return False
@@ -238,16 +214,25 @@ def _curve_stream(height_cap: int, rng: Random):
     a_lo, b_lo = iroot(height_cap // 8, 3), math.isqrt(height_cap // 54)
     lo4, hi4 = a_max - a_lo, a_max + a_lo
     lo6, hi6 = b_max - b_lo, b_max + b_lo
-    # rng.randint(-m, m) is -m + rng.randrange(2*m + 1); zip takes the
-    # a4 draw before the a6 draw, as two randint calls would
-    gcd = math.gcd
-    for r4, r6 in zip(_draws(rng, 2 * a_max + 1), _draws(rng, 2 * b_max + 1)):
+    # rng.randint(-m, m) is -m + rng.randrange(2*m + 1): getrandbits of
+    # the span's bit length, redrawn while at least the span; a4 is drawn
+    # before a6, as two randint calls would
+    span4, span6 = 2 * a_max + 1, 2 * b_max + 1
+    k4, k6 = span4.bit_length(), span6.bit_length()
+    getrandbits, gcd = rng.getrandbits, math.gcd
+    while True:
+        r4 = getrandbits(k4)
+        while r4 >= span4:
+            r4 = getrandbits(k4)
+        r6 = getrandbits(k6)
+        while r6 >= span6:
+            r6 = getrandbits(k6)
         if lo4 <= r4 <= hi4 and lo6 <= r6 <= hi6:
             continue
         a4, a6 = r4 - a_max, r6 - b_max
         c4, c6 = 4 * a4 * a4 * a4, 27 * a6 * a6
         if c4 + c6 and (gcd(a4, a6) < 16 or is_valid_curve(a4, a6)):
-            yield a4, a6, max(abs(c4), c6)
+            yield a4, a6, c6 if -c6 <= c4 <= c6 else c4 if c4 > 0 else -c4
 
 
 def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
@@ -356,7 +341,8 @@ def model_params(height: int, cfg: ModelConfig, rng: Random) -> ModelParams:
     if height < MIN_HEIGHT:
         raise ValueError(f"height must be at least {MIN_HEIGHT}")
     eta = schedule_eta(height, cfg)
-    return ModelParams(eta, eta + next(_draws(rng, 2)), schedule_x(height, eta, cfg))
+    bit = _uniform_list(rng.getrandbits, 2, 1)[0]
+    return ModelParams(eta, eta + bit, schedule_x(height, eta, cfg))
 
 
 def _schedule_interval(height: int, cfg: ModelConfig):
@@ -396,8 +382,10 @@ def _uniform_list(getrandbits, span: int, count: int, lo: int = 0) -> list:
     and the RNG state of as many lo + rng.randrange(span) calls, where
     getrandbits is rng.getrandbits and span >= 1.
 
-    The rejection loop of _draws, written out here, so that a value
-    costs no generator resumption.
+    A copy of CPython's Random._randbelow_with_getrandbits: getrandbits
+    of span's bit length, redrawn while it is at least span.  What this
+    skips is randrange's argument handling and a method call per value,
+    most of the cost of a draw at the model's small spans.
     """
     k = span.bit_length()
     out = []
@@ -685,22 +673,22 @@ MAX_SURVEY_RANK = 5
 
 def _survey_chunk(spec):
     """Count draws with corank >= r (r = 1..5) over one seeded chunk:
-    each draw is tallied once by min(corank, 5), and the counts are
-    summed from the top at the end.
+    each draw is tallied once, under its corank with 5 and above in one
+    tally, and the counts are summed from the top at the end.
 
     Each sampled curve contributes one model draw at its own height,
     the same draws as model_params and sample_alternating make; (eta, x)
     is reused while the height stays in its schedule interval.  The size
-    bit is rng.randrange(2) by the rejection loop of _draws written out,
-    and the entries are drawn by _uniform_list, called directly rather
-    than through _alternating_upper, so no generator is resumed and no
-    wrapper is called per curve.  Module level so process pools can
+    bit is rng.randrange(2) by the rejection loop of _uniform_list
+    written out, and the entries are drawn by _uniform_list, called
+    directly rather than through _alternating_upper, so no wrapper is
+    called per curve.  Module level so process pools can
     pickle it.
     """
     height_cap, band_index, chunk_index, size, cfg = spec
     rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
     getrandbits = rng.getrandbits
-    hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by min(corank, 5)
+    hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by corank, 5 and above at 5
     lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
     for _, _, h in islice(_curve_stream(height_cap, rng), size):
         if not lo <= h <= hi:
@@ -712,7 +700,7 @@ def _survey_chunk(spec):
         n = eta + bit
         upper = _uniform_list(getrandbits, span, n * (n - 1) // 2, -x)
         corank = n - _alternating_rank(n, upper)
-        hist[min(corank, MAX_SURVEY_RANK)] += 1
+        hist[corank if corank < MAX_SURVEY_RANK else MAX_SURVEY_RANK] += 1
     return [0] + [sum(hist[r:]) for r in range(1, MAX_SURVEY_RANK + 1)]
 
 

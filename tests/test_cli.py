@@ -457,22 +457,24 @@ def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
     # Force the first box draw to a4 = 0, a6 = b_max = isqrt(1e80 // 27),
     # whose 6th root is past MAX_TRIAL_DIVISOR with no 6th-power factor
     # below it: the validity test refuses the curve and the run exits 2.
-    spans = []
+    a_max, b_max = altrank.model._coefficient_box(10**80)
+    bits = []
 
-    def draws(rng, span):
-        # bodies run at the first draw: the a4 iterator's, then a6's
-        spans.append(span)
-        value = span // 2 if len(spans) == 1 else span - 1
-        while True:
-            yield value
+    class FirstCurve(altrank.model.Random):
+        # r4 = a4 + a_max, then r6 = a6 + b_max
+        def getrandbits(self, k):
+            bits.append(k)
+            if len(bits) <= 2:
+                return (a_max, 2 * b_max)[len(bits) - 1]
+            return super().getrandbits(k)
 
-    monkeypatch.setattr(altrank.model, "_draws", draws)
+    monkeypatch.setattr(altrank.model, "Random", FirstCurve)
     rc = main(["simulate", "--h-grid", "1e80,1e81,1e82", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "MAX_TRIAL_DIVISOR" in err
-    assert len(spans) == 2
+    assert bits == [(2 * a_max + 1).bit_length(), (2 * b_max + 1).bit_length()]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -616,21 +618,6 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
         ),
         (
             "sha-dist --n 2001 --r 1 --samples 1",
-            "sample_alternating",
-            f"n 2001, x 10000 and p 2; {_BUDGET}",
-        ),
-        (
-            "cl-dist --n 3000 --samples 1",
-            "_draws",
-            f"n 3000, p 2 and k 8; {_BUDGET}",
-        ),
-        (
-            "cl-dist --n 8 --k 1e5 --samples 1",
-            "_draws",
-            f"n 8, p 2 and k 100000; {_BUDGET}",
-        ),
-        (
-            "sha-dist --n 2001 --r 1 --samples 1",
             "_alternating_upper",
             f"n 2001, x 10000 and p 2; {_BUDGET}",
         ),
@@ -674,9 +661,6 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
     ],
     ids=[
         "simulate-x_min",
-        "sha-dist-n",
-        "cl-dist-n",
-        "cl-dist-k",
         "sha-dist-n-upper",
         "cl-dist-n-list",
         "cl-dist-k-list",
@@ -1011,21 +995,21 @@ def test_simulate_byte_identical_across_threads(tmp_path):
 GOLDEN_RUNS = {
     "simulate": (
         ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--chunk", "100", "--seed", "11"],
-        {"survey.csv": "e1341d5eb853f45a3dabb3291a5e655048d51562033fa645cbc6dd8e0ebcf1dc"},
+        {"survey.csv": "6f7cb75919256238edf5d0e65fa5c03cffb31016807468b5286dfeb5a722a617"},
     ),
     "sha-dist": (
         ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],
-        {"sha_dist.json": "0c59f37c27df5a2d9d8bd55e88579de72ad97e394f454bb4578e7f891dd3e2f9"},
+        {"sha_dist.json": "798ad303e4af602971d243f436799b298f6f4c4d23543698c998471437f3c2a1"},
     ),
     "cl-dist": (
         ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
-        {"cl_dist.json": "65632b6aa5d48c2feecd0e6bb2a090d8b546a28dd3b60250e922889d70c63959"},
+        {"cl_dist.json": "ec4e053b9302bcebbe593d8a8fbe45d177ac2c7316e4deaec3d5ac4e0f8c05df"},
     ),
     "count": (
         ["--n", "3", "--r", "2", "--norm", "box", "--bounds", "1..5"],
         {
             "counts.csv": "ef316f2ae31217fcaccd6bfc64c3b1e4e99e9aedf660bc94c8fd651d45b29d7e",
-            "counts_fit.json": "be17efbe1318405248fd86700f0afc2c29dcd92477b17e8aa43671831cbd9920",
+            "counts_fit.json": "b6c260bb7d00372eec76279466e827e801ac85f082ce52b7e9e2bac667c7f8a2",
         },
     ),
     "period-scan": (

@@ -46,7 +46,6 @@ from altrank.model import (
     _alternating_upper,
     _coefficient_box,
     _curve_stream,
-    _draws,
     _schedule_interval,
     _small_band_nonempty,
     _survey_chunk,
@@ -54,7 +53,7 @@ from altrank.model import (
 )
 from altrank.parallel import chunk_seed
 from altrank.periods import period_bound_scan
-from altrank.primes import factorize
+from altrank.primes import factorize, iroot
 
 
 CFG = ModelConfig()
@@ -156,6 +155,18 @@ def test_is_valid_curve_matches_definition_when_scaled(a4, a6, p, e4, e6):
     assert is_valid_curve(s4, s6) == minimal_by_definition(s4, s6, (p,))
 
 
+@pytest.mark.parametrize("e", [-1, 0, 1])
+def test_is_valid_curve_at_fourth_power_gcds(e):
+    # is_valid_curve bounds its trial division by floor(g**(1/4)) at
+    # g = gcd(a4, a6); g = d**4 - 1, d**4, d**4 + 1 straddle each root
+    for d in range(2, 61):
+        g = d**4 + e
+        assert math.isqrt(math.isqrt(g)) == iroot(g, 4), g
+        # g**2 holds p**8 for each p**4 | g; g alone needs p**6 | g
+        for a4, a6 in [(g, g * g), (-g, g * g), (g, -g), (-g, g), (0, g)]:
+            assert is_valid_curve(a4, a6) == minimal_by_definition(a4, a6), (a4, a6)
+
+
 def test_curve_params_validation():
     c = CurveParams(-1, 1)
     assert c.height == 27
@@ -225,19 +236,29 @@ BAND_TEST_CAPS = (
 )
 
 
-def test_band_test_on_raw_draws_is_exact(monkeypatch):
+class _ScriptEnd(Exception):
+    pass
+
+
+class _ScriptedBits:
+    """An rng whose getrandbits returns the scripted values in turn, then
+    raises _ScriptEnd."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        for value in self._values:
+            return value
+        raise _ScriptEnd
+
+
+def test_band_test_on_raw_draws_is_exact():
     # The curve stream drops a box draw (r4, r6) when r4 is within a_lo
     # of a_max and r6 within b_lo of b_max, before any height is formed.
     # Fed every cell of the box, it must yield exactly the valid curves
     # with 2 * height > cap, at every cube and square boundary 8*a**3
     # and 54*b**2 too.
-    axes = iter(())
-
-    def draws(rng, span):
-        # the a4 iterator is made first, then the a6 one
-        return next(axes)
-
-    monkeypatch.setattr(altrank.model, "_draws", draws)
     for cap in BAND_TEST_CAPS:
         a_max, b_max = _coefficient_box(cap)
         box = list(product(range(-a_max, a_max + 1), range(-b_max, b_max + 1)))
@@ -250,8 +271,33 @@ def test_band_test_on_raw_draws_is_exact(monkeypatch):
             with pytest.raises(ValueError, match="no valid curve"):
                 next(_curve_stream(cap, None))
             continue
-        axes = iter([(a4 + a_max for a4, _ in box), (a6 + b_max for _, a6 in box)])
-        assert list(_curve_stream(cap, None)) == want, cap
+        # each cell is one box draw: r4 = a4 + a_max, then r6 = a6 + b_max
+        rng = _ScriptedBits(r for a4, a6 in box for r in (a4 + a_max, a6 + b_max))
+        got = []
+        with pytest.raises(_ScriptEnd):
+            got.extend(_curve_stream(cap, rng))
+        assert got == want, cap
+
+
+def _randint_curves(cap, rng):
+    # the curve stream by its definition: randint box draws, kept when
+    # in the band and valid
+    a_max, b_max = _coefficient_box(cap)
+    while True:
+        a4 = rng.randint(-a_max, a_max)
+        a6 = rng.randint(-b_max, b_max)
+        h = curve_height(a4, a6)
+        if 2 * h > cap and is_valid_curve(a4, a6):
+            yield a4, a6, h
+
+
+def test_draws_interleave_like_calls():
+    # the stream's in-place box draws are randint calls, a4 before a6
+    for seed, cap in enumerate([10**4, 10**6, 10**12, 10**24]):
+        ours, ref = Random(seed), Random(seed)
+        got = list(islice(_curve_stream(cap, ours), 2000))
+        assert got == list(islice(_randint_curves(cap, ref), 2000)), cap
+        assert ours.getstate() == ref.getstate(), cap
 
 
 def test_band_cache_holds_small_caps_only():
@@ -274,29 +320,6 @@ def test_sample_curve_empty_band_raises():
 # the draw helper
 
 
-@pytest.mark.parametrize(
-    "span",
-    [1, 2, 3]
-    + [2**k + e for k in (5, 16, 32) for e in (-1, 0, 1)]
-    + [2**64 + 3, 10**30],
-)
-def test_draws_are_randrange(span):
-    ours, ref = Random(span), Random(span)
-    got = list(islice(_draws(ours, span), 300))
-    assert got == [ref.randrange(span) for _ in range(300)]
-    assert ours.getstate() == ref.getstate()
-
-
-def test_draws_interleave_like_calls():
-    # two iterators over one rng, taken alternately, are randrange calls
-    # alternating between the two spans
-    ours, ref = Random(7), Random(7)
-    small, big = _draws(ours, 5), _draws(ours, 10**30)
-    got = [(next(small), next(big)) for _ in range(200)]
-    assert got == [(ref.randrange(5), ref.randrange(10**30)) for _ in range(200)]
-    assert ours.getstate() == ref.getstate()
-
-
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 10**4, 2**31, 2**40])
 def test_alternating_upper_is_randrange(x):
     # sample_alternating and the survey both draw entries through it
@@ -305,6 +328,21 @@ def test_alternating_upper_is_randrange(x):
         got = _alternating_upper(n, x, ours.getrandbits)
         assert got == [ref.randrange(2 * x + 1) - x for _ in range(n * (n - 1) // 2)]
         assert ours.getstate() == ref.getstate(), n
+
+
+@pytest.mark.parametrize(
+    "span",
+    [1, 2, 3]
+    + [2**k + e for k in (5, 16, 32) for e in (-1, 0, 1)]
+    + [2**64 + 3, 10**30],
+)
+def test_draws_are_randrange(span):
+    # single draws through _uniform_list, as model_params takes its size
+    # bit, are randrange calls
+    ours, ref = Random(span), Random(span)
+    got = [_uniform_list(ours.getrandbits, span, 1)[0] for _ in range(300)]
+    assert got == [ref.randrange(span) for _ in range(300)]
+    assert ours.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("span", [1, 2, 4, 2**8, 20001, 10**30])
