@@ -2,8 +2,9 @@
 
 All arithmetic is arbitrary-precision and exact.  The hot paths (the
 small-dimension alternating rank ladders and the local Smith kernels
-modulo p**prec) operate on plain lists of Python ints; the `@frozen`
-value classes are thin immutable wrappers around that storage.
+modulo p**prec) operate on plain lists of Python ints, or modulo 2**prec
+on rows packed into one int each; the `@frozen` value classes are thin
+immutable wrappers around that storage.
 """
 
 from __future__ import annotations
@@ -579,6 +580,62 @@ def diag_valuations_mod(rows, n: int, p: int, prec: int):
                 for j in cols:
                     ri[j] = (ri[j] - f * rt[j]) % q
         vals.append(best)
+    return vals + [None] * (n - len(vals))
+
+
+def _lane_ones(n: int, w: int) -> int:
+    """1 in each of n lanes of w >= 1 bits: bit j*w set for j < n."""
+    return ((1 << n * w) - 1) // ((1 << w) - 1)
+
+
+def _diag_valuations_mod2_packed(rows, n: int, prec: int):
+    """diag_valuations_mod(A, n, 2, prec), prec >= 1, for A given as packed
+    rows: row i is one int of n lanes of w = 2 * prec bits, lane j (bits
+    j*w to j*w + w - 1) holding A[i][j] reduced mod q = 2**prec.
+
+    The same local elimination, a whole row per operation.  The least
+    valuation v is 0 when some remaining row has the lowest bit of a lane
+    set, and otherwise the least bit set in a lane of the rows' OR; the
+    pivot is the lowest lane with bit v set of the first row that has
+    one.  Every other remaining row becomes (row + m * pivot_row) & mask,
+    with m = -(c / 2**v) * u**-1 mod q for its entry c in the pivot
+    column, u the unit part of the pivot, and mask the low prec bits of
+    every lane.  Before the mask a lane holds at most (q - 1) + (q - 1)**2
+    < q**2 = 2**w, so no lane carries into the next, and the mask reduces
+    every lane mod q at once.  The pivot column becomes 0 mod q in every
+    remaining row, so once the pivot row is dropped no retired column can
+    be picked again.  `rows` is not modified.
+    """
+    q = 1 << prec
+    qm = q - 1
+    w = 2 * prec
+    low = _lane_ones(n, w)
+    mask = low * qm
+    rows = list(rows)
+    vals = []
+    while rows:
+        v, bit, o = 0, low, 0
+        for r in rows:
+            if r & low:
+                break
+            o |= r
+        else:
+            if not o:
+                break
+            while not o & bit:
+                v, bit = v + 1, bit << 1
+        for i, r in enumerate(rows):
+            h = r & bit
+            if h:
+                break
+        s = (h & -h).bit_length() - 1 - v  # the pivot lane's first bit
+        pivot = rows.pop(i)
+        neg_inv = q - pow((pivot >> s & qm) >> v, -1, q)
+        for t, r in enumerate(rows):
+            c = r >> s & qm
+            if c:
+                rows[t] = r + ((c >> v) * neg_inv & qm) * pivot & mask
+        vals.append(v)
     return vals + [None] * (n - len(vals))
 
 

@@ -29,6 +29,8 @@ from .linalg import (
     AlternatingMatrix,
     _alternating_rank,
     _corank_p_exponents,
+    _diag_valuations_mod2_packed,
+    _lane_ones,
     cokernel,
     diag_valuations_mod,
     kernel_rank,  # unused here, like smith_divisors: perfbench wraps both
@@ -604,6 +606,17 @@ def empirical_cl_distribution(
     stream and `refinement_rounds`.  An uncertified draw gets two more
     uniform digits appended to every entry (which refines the same
     p-adic law) and is retried with prec raised by 2.
+
+    Odd p draws the entries row-major with _uniform_list and eliminates
+    with diag_valuations_mod.  At p = 2 a residue mod 2**(prec + 2) is a
+    bit field, so each row is one int of n lanes of w = 2 * (prec + 2)
+    bits, lane j the low prec + 2 bits of bits j*w to j*w + w - 1 of one
+    getrandbits(n * w) call per row, and _diag_valuations_mod2_packed
+    eliminates a whole row per operation.  A refinement round moves the
+    lanes to the wider width and takes each entry's two new digits from
+    bits prec and prec + 1 (prec raised) of its lane of one more
+    getrandbits(n * w) call per row, at the new w.  Both routes draw
+    every digit uniformly and independently, so they have the same law.
     """
     if n < 0:
         raise ValueError(f"matrix size n must be nonnegative, got {n}")
@@ -617,17 +630,48 @@ def empirical_cl_distribution(
     # and its pivot inverses (n + 2); about 1 draw in 50 refines
     _check_draw_cost("n {}, p {} and k {}", (n, p, k), (n + 2, (k + 2) * (p - 1).bit_length()))
     getrandbits = rng.getrandbits
-    cells = n * n
+    if p == 2:
+        # lanes of 2 * (prec + 2) bits hold entries mod 2**(prec + 2)
+        w = 2 * (k + 2)
+        first = _lane_ones(n, w) * ((1 << k + 2) - 1)
+
+        def draw():
+            return [getrandbits(n * w) & first for _ in range(n)]
+
+        def refine(rows, prec):
+            old, new, keep = 2 * prec, 2 * (prec + 2), (1 << prec) - 1
+            digits = _lane_ones(n, new) * (3 << prec)
+            return [
+                sum((r >> j * old & keep) << j * new for j in range(n)) | getrandbits(n * new) & digits
+                for r in rows
+            ]
+
+        def valuations(rows, prec):
+            return _diag_valuations_mod2_packed(rows, n, prec + 2)
+
+    else:
+        span = p ** (k + 2)
+
+        def draw():
+            return [_uniform_list(getrandbits, span, n) for _ in range(n)]
+
+        def refine(rows, prec):
+            step = p**prec
+            return [
+                [e + step * d for e, d in zip(row, _uniform_list(getrandbits, p * p, n))]
+                for row in rows
+            ]
+
+        def valuations(rows, prec):
+            return diag_valuations_mod(rows, n, p, prec + 2)
+
     counts: Counter = Counter()
     refinement_rounds = 0
     for _ in range(samples):
-        # row-major entries, known mod p**(prec + 2); a refinement round
-        # draws two digits per entry in the same order
-        entries = _uniform_list(getrandbits, p ** (k + 2), cells)
+        rows = draw()
         prec = k
         while True:
-            rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-            vals = diag_valuations_mod(rows, n, p, prec + 2)
+            vals = valuations(rows, prec)
             # vals ascend with Nones last
             if not vals or vals[-1] is not None and vals[-1] <= prec - 2:
                 break
@@ -638,9 +682,7 @@ def empirical_cl_distribution(
                     "cokernel structure failed to stabilize; this has "
                     "probability around p**-24 and suggests a broken rng"
                 )
-            step = p**prec
-            refinements = _uniform_list(getrandbits, p * p, cells)
-            entries = [e + step * d for e, d in zip(entries, refinements)]
+            rows = refine(rows, prec)
         counts[tuple(vals)] += 1
     return EmpiricalDistribution(
         _label_counts(p, counts),

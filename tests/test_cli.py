@@ -590,6 +590,14 @@ _BUDGET = "one draw may take more than 1.5 s"
         ("--calibration-exponent", "1e-100000000", f"calibration_exponent 1e-100000000 {_BOUND}"),
         ("--calibration-exponent", "0e-100000000", f"calibration_exponent 0e-100000000 {_BOUND}"),
     ],
+    ids=[
+        "calibration-exponent-1-over-1e9",
+        "calibration-exponent-1000",
+        "calibration-exponent-12345-over-7",
+        "eta-floor-300",
+        "calibration-exponent-1e-100000000",
+        "calibration-exponent-0e-100000000",
+    ],
 )
 def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
     tmp_path, capsys, monkeypatch, flag, value, error

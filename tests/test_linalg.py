@@ -15,6 +15,7 @@ from altrank.linalg import (
     _alternating_rows,
     _alternating_valuations_mod,
     _corank_p_exponents,
+    _diag_valuations_mod2_packed,
     _p_valuation,
     _rank_rows,
     cokernel,
@@ -509,6 +510,43 @@ def test_diag_valuations_leave_input_unchanged():
     assert rows == [[4, 6], [2, 9]]
 
 
+@st.composite
+def matrices_mod_power_of_2(draw):
+    """(rows, n, prec): entries in [0, 2**prec), uniform, all zero, of low
+    rank, all multiples of one 2**v, or all 2**prec - 1, where a row
+    update reaches the lane bound (q - 1) + (q - 1)**2."""
+    n = draw(st.integers(0, 12))
+    prec = draw(st.integers(1, 40))
+    q = 2**prec
+    kind = draw(st.sampled_from(["uniform", "zero", "low-rank", "multiples", "all-max"]))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)], n, prec
+    if kind == "all-max":
+        return [[q - 1] * n for _ in range(n)], n, prec
+    entry = st.integers(0, q - 1)
+    if kind == "low-rank":
+        r = draw(st.integers(0, max(n - 1, 0)))
+        u = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+        v = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+        rows = [[sum(u[i][t] * v[t][j] for t in range(r)) % q for j in range(n)] for i in range(n)]
+        return rows, n, prec
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "multiples":
+        scale = 2 ** draw(st.integers(0, prec))
+        rows = [[e * scale % q for e in row] for row in rows]
+    return rows, n, prec
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrices_mod_power_of_2())
+def test_packed_kernel_equals_diag_valuations_mod(matrix):
+    # row i packs entry (i, j) into bits j*w to j*w + w - 1, w = 2 * prec
+    rows, n, prec = matrix
+    w = 2 * prec
+    packed = [sum(e << j * w for j, e in enumerate(row)) for row in rows]
+    assert _diag_valuations_mod2_packed(packed, n, prec) == diag_valuations_mod(rows, n, 2, prec)
+
+
 # ---------------------------------------------------------------------------
 # the 2x2-pivot kernel for alternating matrices
 
@@ -579,19 +617,19 @@ def test_corank_route_never_forms_dense_rows(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # outputs of the kernel's callers; the cl table is the one the exact-Smith
-# replay in test_model.py gives for the same arguments, where each draw's
-# first k + 2 digits are one uniform value per entry
+# replay in test_model.py gives for the same arguments, where each row of
+# a draw at p = 2 is one getrandbits call
 
 
 def test_cl_distribution_pinned():
     dist = empirical_cl_distribution(8, 2, 8, 300, Random(1))
     assert dist.counts == {
-        "2:[1,1]": 10, "2:[10]": 1, "2:[1]": 73, "2:[2,1]": 8, "2:[2]": 50,
-        "2:[3,1]": 6, "2:[3,2]": 3, "2:[3]": 27, "2:[4,1]": 4, "2:[4,3]": 1,
-        "2:[4]": 19, "2:[5,1]": 2, "2:[5]": 5, "2:[6,1]": 1, "2:[6]": 2,
-        "2:[7]": 1, "2:[]": 87,
+        "2:[1,1]": 11, "2:[10]": 1, "2:[1]": 76, "2:[2,1,1]": 1, "2:[2,1]": 12,
+        "2:[2,2,1]": 1, "2:[2,2]": 1, "2:[2]": 45, "2:[3,1]": 6, "2:[3,2]": 1,
+        "2:[3]": 25, "2:[4,1]": 4, "2:[4]": 13, "2:[5]": 3, "2:[6,1]": 1,
+        "2:[6]": 2, "2:[7,1]": 1, "2:[7]": 1, "2:[]": 95,
     }
-    assert dist.meta["refinement_rounds"] == 3
+    assert dist.meta["refinement_rounds"] == 4
 
 
 def test_sha_distribution_mod_pinned():

@@ -768,25 +768,41 @@ def test_cl_distribution_small_matches_gl_probability():
     [(8, 2, 8, 300, 1), (5, 3, 5, 300, 11), (4, 2, 5, 2000, 3), (1, 2, 5, 500, 5), (0, 2, 5, 5, 6)],
 )
 def test_cl_distribution_matches_exact_smith_on_replayed_draws(n, p, k, samples, seed):
-    # Replays the sampler's digit order with rng.randrange: a draw's
-    # entries, row-major, are uniform mod p**(k + 2), and each refinement
-    # adds p**prec times a uniform digit pair mod p**2 to every entry, in
-    # the same order, prec having been raised by 2.  Each draw is
-    # classified by the p-valuations of its exact integer Smith divisors,
-    # and refined when a divisor is 0 or its valuation exceeds prec - 2.
+    # Replays the sampler's digit order from the RNG itself.  At odd p a
+    # draw's entries, row-major, are uniform mod p**(k + 2), and each
+    # refinement adds p**prec times a uniform digit pair mod p**2 to every
+    # entry, in the same order, prec having been raised by 2.  At p = 2
+    # row i is one getrandbits(n * w), w = 2 * (k + 2), and entry (i, j)
+    # the low k + 2 bits of its bits j*w to j*w + w - 1; a refinement
+    # draws one getrandbits(n * w) per row at the new w = 2 * (prec + 2)
+    # and adds 2**prec times bits j*w + prec and j*w + prec + 1 of it to
+    # entry (i, j).  Each draw is classified by the p-valuations of its
+    # exact integer Smith divisors, and refined when a divisor is 0 or its
+    # valuation exceeds prec - 2.
     rng = Random(seed)
     counts: dict = {}
     rounds = 0
     for _ in range(samples):
-        entries = [rng.randrange(p ** (k + 2)) for _ in range(n * n)]
         prec = k
+        if p == 2:
+            w = 2 * (k + 2)
+            rows = [rng.getrandbits(n * w) for _ in range(n)]
+            entries = [r >> j * w & 2 ** (k + 2) - 1 for r in rows for j in range(n)]
+        else:
+            entries = [rng.randrange(p ** (k + 2)) for _ in range(n * n)]
         while True:
             divisors = smith_divisors(IntegerMatrix(n, n, entries))
             if all(d and _p_valuation(d, p) <= prec - 2 for d in divisors):
                 break
             rounds += 1
             prec += 2
-            entries = [e + p**prec * rng.randrange(p * p) for e in entries]
+            if p == 2:
+                w = 2 * (prec + 2)
+                rows = [rng.getrandbits(n * w) for _ in range(n)]
+                digits = [r >> j * w + prec & 3 for r in rows for j in range(n)]
+            else:
+                digits = [rng.randrange(p * p) for _ in range(n * n)]
+            entries = [e + p**prec * d for e, d in zip(entries, digits)]
         vals = [_p_valuation(d, p) for d in divisors]
         label = group_label(AbelianPGroup.from_valuations(p, vals))
         counts[label] = counts.get(label, 0) + 1
@@ -824,13 +840,13 @@ def test_distribution_streams_at_benchmark_shapes():
         assert (dist.counts, dist.meta["draws"]) == (counts, draws), args
     dist = empirical_cl_distribution(8, 2, 8, 600, Random(1))
     assert dist.counts == {
-        "2:[1,1,1]": 1, "2:[1,1]": 18, "2:[10]": 2, "2:[1]": 150,
-        "2:[2,1]": 20, "2:[2,2]": 1, "2:[2]": 100, "2:[3,1]": 12,
-        "2:[3,2]": 4, "2:[3]": 44, "2:[4,1]": 10, "2:[4,2]": 2, "2:[4,3]": 1,
-        "2:[4]": 26, "2:[5,1]": 3, "2:[5]": 8, "2:[6,1]": 2, "2:[6]": 4,
-        "2:[7,1,1]": 1, "2:[7]": 2, "2:[9,1]": 1, "2:[9]": 1, "2:[]": 187,
+        "2:[1,1,1]": 2, "2:[1,1]": 25, "2:[10]": 1, "2:[1]": 162,
+        "2:[2,1,1]": 1, "2:[2,1]": 20, "2:[2,2,1]": 1, "2:[2,2]": 1,
+        "2:[2]": 92, "2:[3,1]": 12, "2:[3,2]": 2, "2:[3]": 46, "2:[4,1]": 7,
+        "2:[4]": 24, "2:[5,1]": 3, "2:[5]": 9, "2:[6,1]": 2, "2:[6]": 5,
+        "2:[7,1]": 1, "2:[7]": 1, "2:[8,1]": 1, "2:[9,1]": 1, "2:[]": 181,
     }
-    assert dist.meta["refinement_rounds"] == 11
+    assert dist.meta["refinement_rounds"] == 7
 
 
 def test_empirical_distribution_container():
