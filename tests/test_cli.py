@@ -614,29 +614,31 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
 
 
 @pytest.mark.parametrize(
-    "argv, sampler, error",
+    "argv, draw, error",
     [
         # _schedule_interval forms x_min**(den*eta)
         (
             "simulate --h-grid 1e4,1e6,1e8 --curves-per-band 3 --x-min 1e4000 "
             "--eta-floor 63 --calibration-exponent 1/1000",
-            "_survey_chunk",
+            "altrank.model._survey_chunk",
             "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min "
             f"of 13288 bits and calibration_exponent 1/1000 entries of 13288 bits; {_BUDGET}",
         ),
         (
             "sha-dist --n 2001 --r 1 --samples 1",
-            "_alternating_upper",
+            "altrank.model._alternating_upper",
             f"n 2001, x 10000 and p 2; {_BUDGET}",
         ),
+        # cl-dist at p = 2 draws each packed row by one getrandbits call,
+        # and never calls _uniform_list
         (
             "cl-dist --n 3000 --samples 1",
-            "_uniform_list",
+            "random.Random.getrandbits",
             f"n 3000, p 2 and k 8; {_BUDGET}",
         ),
         (
             "cl-dist --n 8 --k 1e5 --samples 1",
-            "_uniform_list",
+            "random.Random.getrandbits",
             f"n 8, p 2 and k 100000; {_BUDGET}",
         ),
         # each lies inside the old per-key bounds on n, k, x_min and the
@@ -645,25 +647,25 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
         # 13288-bit entries at n = 60
         (
             "cl-dist --n 100 --k 9974 --samples 1",
-            "_uniform_list",
+            "random.Random.getrandbits",
             f"n 100, p 2 and k 9974; {_BUDGET}",
         ),
         (
             "simulate --eta-schedule constant --eta-floor 63 --calibration-exponent 1000 "
             "--h-grid 1e4,1e6,1e8 --curves-per-band 1",
-            "_survey_chunk",
+            "altrank.model._survey_chunk",
             "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min 2 "
             f"and calibration_exponent 1000 entries of 422 bits; {_BUDGET}",
         ),
         (
             "sha-dist --n 60 --x 1e4000 --samples 3000",
-            "_alternating_upper",
+            "altrank.model._alternating_upper",
             f"n 60, x of 13288 bits and p 2; {_BUDGET}",
         ),
         # a k that no float holds
         (
             "cl-dist --n 8 --k 1e400 --samples 1",
-            "_uniform_list",
+            "random.Random.getrandbits",
             f"n 8, p 2 and k of 1329 bits; {_BUDGET}",
         ),
     ],
@@ -679,12 +681,12 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
     ],
 )
 def test_size_that_cannot_finish_exits_2_before_any_draw(
-    tmp_path, capsys, monkeypatch, argv, sampler, error
+    tmp_path, capsys, monkeypatch, argv, draw, error
 ):
     def no_draw(*args):
-        raise AssertionError(f"{sampler} ran")
+        raise AssertionError(f"{draw} ran")
 
-    monkeypatch.setattr(altrank.model, sampler, no_draw)
+    monkeypatch.setattr(draw, no_draw)
     assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert list(tmp_path.iterdir()) == []

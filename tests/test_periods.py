@@ -4,7 +4,10 @@ from random import Random
 import mpmath
 import pytest
 
+from altrank.model import MAX_FLOAT_HEIGHT, sample_curve_in_band
 from altrank.periods import (
+    _EST_RELATIVE_ERROR,
+    _gauss_kronrod,
     discriminant,
     period_bound_scan,
     real_period,
@@ -36,6 +39,32 @@ def mp_period(a4, a6):
             r = real[0]
             total = mpmath.quad(f, [r, r + 1, mpmath.inf])
         return float(total)
+
+
+def mp_period_carlson(a4, a6):
+    """Arbitrary-precision oracle at any height, in closed form.
+
+    The curve is rescaled to coefficients of size about 1 (omega scales
+    as 1/u under (a4, a6) -> (a4/u^4, a6/u^6)), its roots found by
+    polyroots, and each real branch is 2*R_F of the root differences:
+    both components of the three-root locus are 2*R_F(r3-r1, r3-r2, 0),
+    the one-root branch is 2*R_F(0, r - z, r - conj(z)).  Carlson's R_F
+    is computed by the duplication theorem, not by an AGM, and takes a
+    few ms, where mp_period's tanh-sinh takes about 0.1 s a curve.
+    """
+    with mpmath.workdps(40):
+        u = max(abs(mpmath.mpf(a4)) ** 0.25, abs(mpmath.mpf(a6)) ** (mpmath.mpf(1) / 6))
+        roots = sorted(
+            mpmath.polyroots([1, 0, a4 / u**4, a6 / u**6]),
+            key=lambda z: (abs(z.imag), z.real),
+        )
+        if discriminant(a4, a6) > 0:
+            r1, r2, r3 = sorted(z.real for z in roots)
+            total = 4 * mpmath.elliprf(r3 - r1, r3 - r2, 0)
+        else:
+            r, z = roots[0].real, roots[1]
+            total = 2 * mpmath.elliprf(0, r - z, r - mpmath.conj(z)).real
+        return float(total / u)
 
 
 FIXED_CURVES = [(-1, 0), (0, 1), (1, 1), (-2, 1), (-7, 6), (3, -5), (-5, 0), (0, -4)]
@@ -92,6 +121,39 @@ def test_agm_vs_quadrature_random():
         quad = real_period_quadrature(a4, a6)
         worst = max(worst, abs(agm - quad))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("a4,a6", FIXED_CURVES)
+def test_carlson_oracle_matches_quadrature_oracle(a4, a6):
+    assert mp_period_carlson(a4, a6) == pytest.approx(mp_period(a4, a6), rel=1e-14)
+
+
+# band caps from the smallest to the largest height period-scan accepts
+BAND_CAPS = [10**3, 10**20, 10**60, 10**100, 10**200, 10**300, MAX_FLOAT_HEIGHT]
+
+
+@pytest.mark.parametrize(
+    "cap", BAND_CAPS, ids=["1e3", "1e20", "1e60", "1e100", "1e200", "1e300", "max"]
+)
+def test_routes_agree_in_every_band(cap):
+    # tolerances fixed before any run: the two double-precision routes to
+    # 1e-12 relative, and the AGM to its own stated error against the
+    # 40-digit oracle
+    rng = Random(56)
+    for _ in range(20):
+        curve = sample_curve_in_band(cap, rng)
+        agm = real_period(curve.a4, curve.a6).omega
+        quad = real_period_quadrature(curve.a4, curve.a6)
+        oracle = mp_period_carlson(curve.a4, curve.a6)
+        assert abs(quad - agm) <= 1e-12 * agm, curve
+        assert abs(agm - oracle) <= _EST_RELATIVE_ERROR * oracle, curve
+
+
+def test_quadrature_fails_loudly_where_it_cannot_converge():
+    # a cross-check that stops short must raise, not return its last sum
+    assert _gauss_kronrod(math.cos, 0.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ValueError, match="tolerance"):
+        _gauss_kronrod(lambda x: math.sin(1e6 * x), 0.0, 1.0)
 
 
 def test_scaling_invariance():

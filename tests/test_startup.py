@@ -1,5 +1,6 @@
 """Start-up cost: a CLI run imports only the modules its command uses,
-and a process pool starts no more workers than there are chunks."""
+needs no package outside the standard library, and a process pool
+starts no more workers than there are chunks."""
 
 import concurrent.futures
 import json
@@ -149,6 +150,36 @@ def test_every_exported_name_resolves_lazily():
     assert altrank.parallel.map_chunks is map_chunks
     with pytest.raises(AttributeError):
         altrank.no_such_name
+
+
+# makes numpy and scipy unimportable in a child, as where neither is installed
+BLOCK_NUMPY_SCIPY = """
+import sys
+
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, Blocker())
+"""
+
+
+def test_periods_run_without_numpy_or_scipy(tmp_path):
+    tests = str(Path(__file__).with_name("test_periods.py"))
+    run = child_modules(
+        BLOCK_NUMPY_SCIPY + "import pytest\n"
+        "with pytest.raises(ImportError):\n"
+        "    import scipy.integrate\n"
+        f"assert pytest.main(['-q', '-p', 'no:cacheprovider', {tests!r}]) == 0\n"
+        "from altrank.cli import main\n"
+        f"assert main(['verify', 'period', '--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert "altrank.periods" in run
+    assert {m.partition(".")[0] for m in run} & {"numpy", "scipy"} == set()
+    assert json.loads((tmp_path / "verify_period.json").read_text())["passed"]
 
 
 class RecordingPool:
