@@ -6,11 +6,13 @@ seed, thread count, and the full effective configuration.  Each command
 is declared once, in `_COMMANDS`; its flags, config keys and manifest
 follow from that entry, and each key's parser from its default.  The
 `verify` suites and their oracles live in `altrank.verify`, which only
-`verify` imports.  All randomness flows
-from the configured seed (parallel work is seeded per chunk), floats
-are emitted with repr and JSON keys are sorted, so outputs are
-byte-identical for a given seed at any --threads value.  The manifest
-timestamp is the one intentionally non-reproducible field.
+`verify` imports.  All randomness flows from the configured seed:
+simulate, sha-dist, cl-dist and period-scan draw in fixed-size chunks
+seeded from (seed, label, chunk index), which --threads worker
+processes run (count runs one census per bound), merged in chunk
+order.  Floats are emitted with repr and JSON keys are sorted, so
+outputs are byte-identical for a given seed at any --threads value.
+The manifest timestamp is the one intentionally non-reproducible field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -42,10 +44,11 @@ from .model import (
     ModelConfig,
     empirical_cl_distribution,
     empirical_sha_distribution,
+    merge_distributions,
     predicted_table,
     rank_survey,
 )
-from .parallel import map_chunks
+from .parallel import SAMPLE_CHUNK, map_chunks, seeded_chunks
 
 # counting, periods and verify are imported inside the commands that use
 # them, datetime inside _write_manifest: every import costs each run
@@ -303,6 +306,23 @@ def _distribution_payload(dist, reference, **extra) -> dict:
 # writes the run manifest
 
 
+def _sample_chunk(spec):
+    """One chunk, sampler(*args, size, Random(seed)); module level for pools."""
+    sampler, args, size, seed = spec
+    return sampler(*args, size, Random(seed))
+
+
+def _sample(command: str, sampler, args, settings) -> list:
+    """The results of `sampler` on the SAMPLE_CHUNK chunks of
+    settings["samples"], in chunk order, chunk i seeded from (seed,
+    command, i) whatever the thread count."""
+    if settings["samples"] < 1:
+        raise ValueError("need at least one sample")
+    chunks = seeded_chunks(settings["samples"], SAMPLE_CHUNK, settings["seed"], command)
+    specs = [(sampler, args, size, seed) for size, seed in chunks]
+    return map_chunks(_sample_chunk, specs, settings["threads"])
+
+
 def cmd_simulate(settings, emitter) -> int:
     cfg = ModelConfig(seed=settings["seed"], **{k: settings[k] for k in _MODEL_KEYS})
     records, fits = rank_survey(
@@ -330,15 +350,9 @@ def cmd_simulate(settings, emitter) -> int:
 
 
 def cmd_sha_dist(settings, emitter) -> int:
-    dist = empirical_sha_distribution(
-        settings["n"],
-        settings["x"],
-        settings["r"],
-        settings["p"],
-        settings["samples"],
-        Random(settings["seed"]),
-    )
     p, r = settings["p"], settings["r"]
+    args = (settings["n"], settings["x"], r, p)
+    dist = merge_distributions(_sample("sha-dist", empirical_sha_distribution, args, settings))
     # a doubled label's exponents pair up; its base is every other one
     reference = _reference(
         dist.counts,
@@ -363,14 +377,9 @@ def cmd_sha_dist(settings, emitter) -> int:
 
 
 def cmd_cl_dist(settings, emitter) -> int:
-    dist = empirical_cl_distribution(
-        settings["n"],
-        settings["p"],
-        settings["k"],
-        settings["samples"],
-        Random(settings["seed"]),
-    )
     p = settings["p"]
+    args = (settings["n"], p, settings["k"])
+    dist = merge_distributions(_sample("cl-dist", empirical_cl_distribution, args, settings))
     reference = _reference(
         dist.counts,
         [AbelianPGroup(p, lam) for lam in partitions_up_to(3)],
@@ -418,19 +427,18 @@ def cmd_count(settings, emitter) -> int:
 
 
 def cmd_period_scan(settings, emitter) -> int:
-    from .periods import period_bound_scan
+    from .periods import check_period_scan, period_scan_rows, period_scan_summary
 
-    summary, rows = period_bound_scan(
-        (settings["h_min"], settings["h_max"]),
-        settings["samples"],
-        Random(settings["seed"]),
-    )
+    h_range = (settings["h_min"], settings["h_max"])
+    check_period_scan(h_range, settings["samples"])
+    parts = _sample("period-scan", period_scan_rows, (h_range,), settings)
+    rows = [row for part in parts for row in part]
     emitter.csv(
         "period_scan.csv",
         ["a4", "a6", "height", "discriminant", "omega", "omega_h_12th"],
         rows,
     )
-    emitter.json("period_scan_summary.json", summary)
+    emitter.json("period_scan_summary.json", period_scan_summary(h_range, rows))
     return 0
 
 

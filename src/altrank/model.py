@@ -36,7 +36,7 @@ from .linalg import (
     kernel_rank,  # unused here, like smith_divisors: perfbench wraps both
     smith_divisors,
 )
-from .parallel import CHUNK, chunk_seed, chunk_sizes, map_chunks
+from .parallel import CHUNK, map_chunks, seeded_chunks
 from .primes import iroot, is_prime
 
 # counting is imported inside the two functions that use it, so the
@@ -66,6 +66,7 @@ __all__ = [
     "empirical_sha_distribution",
     "empirical_square_cyclic_fraction",
     "empirical_cl_distribution",
+    "merge_distributions",
     "rank_survey",
     "predicted_table",
     "exponent_fit",
@@ -497,6 +498,16 @@ def _label_counts(p: int, tallies: Counter) -> dict:
     return dict(sorted(counts.items()))
 
 
+def merge_distributions(parts) -> EmpiricalDistribution:
+    """The distributions of seeded chunks as one: counts, total and meta's
+    draws and refinement_rounds summed, the other meta keys the first's."""
+    counts: Counter = sum((Counter(part.counts) for part in parts), Counter())
+    meta = dict(parts[0].meta)
+    for key in {"draws", "refinement_rounds"} & meta.keys():
+        meta[key] = sum(part.meta[key] for part in parts)
+    return EmpiricalDistribution(dict(sorted(counts.items())), sum(part.total for part in parts), meta)
+
+
 def empirical_corank_prob(n: int, x: int, r: int) -> Fraction:
     """Prob(corank >= r) for uniform alternating n x n, |entries| <= x,
     exactly, from the census of the whole box (subject to the
@@ -727,8 +738,8 @@ def _survey_chunk(spec):
     called per curve.  Module level so process pools can
     pickle it.
     """
-    height_cap, band_index, chunk_index, size, cfg = spec
-    rng = Random(chunk_seed(cfg.seed, f"survey:{band_index}", chunk_index))
+    height_cap, _, size, seed, cfg = spec
+    rng = Random(seed)
     getrandbits = rng.getrandbits
     hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by corank, 5 and above at 5
     lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
@@ -779,12 +790,11 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
         (eta + 1, (eta + 1) * bits // 3),
         (1, den * eta * bits * (12 if num > 2 else 1) // 4),
     )
-    specs = []
-    for band_index, h in enumerate(h_grid):
-        for chunk_index, size in enumerate(
-            chunk_sizes(curves_per_band, cfg.chunk)
-        ):
-            specs.append((h, band_index, chunk_index, size, cfg))
+    specs = [
+        (h, band_index, size, seed, cfg)
+        for band_index, h in enumerate(h_grid)
+        for size, seed in seeded_chunks(curves_per_band, cfg.chunk, cfg.seed, f"survey:{band_index}")
+    ]
     partials = map_chunks(_survey_chunk, specs, threads)
     per_band = [[0] * (MAX_SURVEY_RANK + 1) for _ in h_grid]
     for spec, part in zip(specs, partials):

@@ -1,37 +1,47 @@
 """Deterministic chunked execution.
 
-Work is split into fixed-size chunks, each seeded independently from
-(master seed, label, chunk index) through SHA-256, and results are
-merged in chunk order.  The thread count therefore changes wall time
-only, never output.
+Work is split into fixed-size chunks (simulate's ModelConfig.chunk
+curves per band, CHUNK by default; SAMPLE_CHUNK samples of sha-dist,
+cl-dist and period-scan), each seeded independently from (master seed,
+label, chunk index) through SHA-256, and results are merged in chunk
+order.  The thread count therefore changes wall time only, never output.
 """
 
 from __future__ import annotations
 
-__all__ = ["CHUNK", "chunk_seed", "chunk_sizes", "map_chunks"]
+import sys
+
+__all__ = ["CHUNK", "SAMPLE_CHUNK", "chunk_seed", "map_chunks", "seeded_chunks"]
 
 CHUNK = 20_000
+SAMPLE_CHUNK = 2_500
 
 
 def chunk_seed(master: int, label: str, index: int) -> int:
-    # imported here: only seeded chunks need it, and it costs start-up
-    import hashlib
+    # imported here, and like random's sha512 from CPython's builtin
+    # module where it has one: hashlib also loads OpenSSL, about 3.6 MB
+    # of peak RSS
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
-    digest = hashlib.sha256(f"{master}:{label}:{index}".encode()).digest()
+    digest = sha256(f"{master}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def chunk_sizes(total: int, chunk: int):
-    """Fixed partition of `total` items into chunks (last one ragged)."""
+def seeded_chunks(total: int, chunk: int, master: int, label: str):
+    """(size, chunk_seed(master, label, i)) of each chunk i of a fixed
+    partition of `total` items into chunks of `chunk` (last one ragged)."""
     if total < 0 or chunk <= 0:
         raise ValueError("bad chunking request")
-    out = []
-    done = 0
-    while done < total:
-        size = min(chunk, total - done)
-        out.append(size)
-        done += size
-    return out
+    return [
+        (min(chunk, total - start), chunk_seed(master, label, i))
+        for i, start in enumerate(range(0, total, chunk))
+    ]
 
 
 def map_chunks(fn, specs, threads: int = 1):

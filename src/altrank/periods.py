@@ -12,13 +12,16 @@ import heapq
 import math
 from typing import NamedTuple
 
-from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, sample_curve_in_band
+from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, _band_nonempty, sample_curve_in_band
 
 __all__ = [
     "PeriodResult",
     "discriminant",
     "real_period",
     "real_period_quadrature",
+    "check_period_scan",
+    "period_scan_rows",
+    "period_scan_summary",
     "period_bound_scan",
 ]
 
@@ -226,14 +229,9 @@ def _stats(values) -> dict:
     }
 
 
-def period_bound_scan(h_range, samples: int, rng):
-    """Normalized periods omega * h^(1/12) over random curves with
-    log-uniform height caps in h_range.
-
-    Returns (summary, rows); rows carry (a4, a6, height, discriminant,
-    omega, normalized) for CSV emission.  The band constants are
-    reported, not asserted against fixed values.
-    """
+def check_period_scan(h_range, samples: int) -> None:
+    """Refuse fewer than 100 samples, or a height range that reaches a cap
+    whose band holds no valid curve (caps 100-107 and 216-242), by name."""
     h_lo, h_hi = h_range
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -241,28 +239,46 @@ def period_bound_scan(h_range, samples: int, rng):
         raise ValueError("bad height range")
     if h_hi > MAX_FLOAT_HEIGHT:
         raise ValueError(f"heights must be at most {MAX_FLOAT_HEIGHT:.6g}")
+    # each cap the log-uniform draw can round to; from 1e4 up every band holds a curve
+    for cap in range(round(h_lo), min(round(h_hi) + 1, 10_000)):
+        if not _band_nonempty(cap):
+            raise ValueError(
+                f"heights [{h_lo}, {h_hi}] reach cap {cap}, and no valid curve "
+                f"has height in ({cap}/2, {cap}]"
+            )
+
+
+def period_scan_rows(h_range, samples: int, rng) -> list:
+    """(a4, a6, height, discriminant, omega, omega * h^(1/12)) of `samples`
+    random curves with log-uniform height caps in a checked h_range."""
+    log_lo, log_hi = math.log(h_range[0]), math.log(h_range[1])
     rows = []
-    normalized = []
-    per_log = []
-    log_lo, log_hi = math.log(h_lo), math.log(h_hi)
     for _ in range(samples):
         cap = max(MIN_HEIGHT, round(math.exp(rng.uniform(log_lo, log_hi))))
         curve = sample_curve_in_band(cap, rng)
-        h = curve.height
-        omega = real_period(curve.a4, curve.a6).omega
-        u = omega * h ** (1.0 / 12.0)
-        rows.append(
-            (curve.a4, curve.a6, h, discriminant(curve.a4, curve.a6), omega, u)
-        )
-        normalized.append(u)
-        per_log.append(u / math.log(h))
+        a4, a6, h = curve.a4, curve.a6, curve.height
+        omega = real_period(a4, a6).omega
+        rows.append((a4, a6, h, discriminant(a4, a6), omega, omega * h ** (1.0 / 12.0)))
+    return rows
+
+
+def period_scan_summary(h_range, rows) -> dict:
+    """Quantiles of the normalized periods of the rows, and of each over
+    log(height).  The band constants are reported, not asserted against
+    fixed values."""
+    normalized = [row[5] for row in rows]
     if not all(v > 0 and math.isfinite(v) for v in normalized):
         raise AssertionError("normalized period left the positive range")
-    summary = {
-        "samples": samples,
-        "h_range": [h_lo, h_hi],
+    return {
+        "samples": len(rows),
+        "h_range": list(h_range),
         "normalized": _stats(normalized),
-        "normalized_per_log": _stats(per_log),
+        "normalized_per_log": _stats([row[5] / math.log(row[2]) for row in rows]),
     }
-    return summary, rows
 
+
+def period_bound_scan(h_range, samples: int, rng):
+    """(summary, rows) of one checked scan in a single chunk."""
+    check_period_scan(h_range, samples)
+    rows = period_scan_rows(h_range, samples, rng)
+    return period_scan_summary(h_range, rows), rows

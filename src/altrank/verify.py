@@ -12,7 +12,7 @@ command pays for compiling it.
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from random import Random
 
 from .linalg import (
@@ -210,12 +210,10 @@ def snf(settings):
         for flat in iproduct(range(-2, 3), repeat=cells):
             rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
             one(rows, n, with_oracle=True)
-    index = 0
-    for flat in iproduct(range(-2, 3), repeat=9):
-        if index % stride == 0:
-            rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            one(rows, 3, with_oracle=True)
-        index += 1
+    # every stride-th 3 x 3 matrix, skipped over in C
+    for flat in islice(iproduct(range(-2, 3), repeat=9), 0, None, stride):
+        rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        one(rows, 3, with_oracle=True)
 
     rng = Random(settings["seed"])
     for _ in range(200):

@@ -441,6 +441,23 @@ def test_verify_names_the_suite_and_flag_it_refuses(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_period_scan_refuses_an_empty_band_before_any_chunk(tmp_path, capsys, monkeypatch):
+    # caps 240-242 hold no valid curve, so a scan from 240 is refused
+    # whatever the seed, before any curve is drawn
+    def no_rows(*args):
+        raise AssertionError("a period-scan chunk ran")
+
+    monkeypatch.setattr(altrank.periods, "period_scan_rows", no_rows)
+    argv = ["period-scan", "--h-min", "240", "--h-max", "5000", "--samples", "100"]
+    for seed in range(1, 11):
+        assert main(argv + ["--seed", str(seed), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: heights [240, 5000] reach cap 240, and no valid curve "
+            "has height in (240/2, 240]\n"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -973,25 +990,32 @@ def test_cl_dist_byte_identical_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_byte_identical_across_threads(tmp_path):
-    args = [
-        "--h-grid",
-        "1e6,1e8,1e10",
-        "--curves-per-band",
-        "600",
-        "--chunk",
-        "200",
-        "--seed",
-        "99",
-    ]
+# each run makes at least 2 chunks: simulate 3 per band, the others
+# 2 of SAMPLE_CHUNK = 2500 samples
+THREADS_RUNS = {
+    "simulate": ["--h-grid", "1e6,1e8,1e10", "--curves-per-band", "600", "--chunk", "200"],
+    "sha-dist": ["--n", "4", "--x", "5", "--samples", "2600"],
+    "cl-dist": ["--n", "4", "--k", "6", "--samples", "2600"],
+    "period-scan": ["--h-min", "1e4", "--h-max", "1e8", "--samples", "2600"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(THREADS_RUNS))
+def test_byte_identical_across_threads(tmp_path, command):
+    args = [command, *THREADS_RUNS[command], "--seed", "99"]
     a, b = tmp_path / "t1", tmp_path / "t2"
-    assert main(["simulate", "--out", str(a), "--threads", "1"] + args) == 0
-    assert main(["simulate", "--out", str(b), "--threads", "2"] + args) == 0
-    survey_a = (a / "survey.csv").read_bytes()
-    assert survey_a == (b / "survey.csv").read_bytes()
-    assert b"#fit" in survey_a
-    man_a = read_json(a / "survey_manifest.json")
-    man_b = read_json(b / "survey_manifest.json")
+    assert main(args + ["--out", str(a), "--threads", "1"]) == 0
+    assert main(args + ["--out", str(b), "--threads", "2"]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    manifest = next(name for name in names if name.endswith("_manifest.json"))
+    for name in names:
+        if name != manifest:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    if command == "simulate":
+        assert b"#fit" in (a / "survey.csv").read_bytes()
+    man_a = read_json(a / manifest)
+    man_b = read_json(b / manifest)
     assert man_a["threads"] == 1 and man_b["threads"] == 2
     drop = {"timestamp", "threads", "config"}
     assert {k: v for k, v in man_a.items() if k not in drop} == {
@@ -1009,11 +1033,11 @@ GOLDEN_RUNS = {
     ),
     "sha-dist": (
         ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],
-        {"sha_dist.json": "798ad303e4af602971d243f436799b298f6f4c4d23543698c998471437f3c2a1"},
+        {"sha_dist.json": "60ce1f3195ce9a15d24bcda6331d300df20556f34e613925afcf15113d70228a"},
     ),
     "cl-dist": (
         ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
-        {"cl_dist.json": "ec4e053b9302bcebbe593d8a8fbe45d177ac2c7316e4deaec3d5ac4e0f8c05df"},
+        {"cl_dist.json": "db7b51343fafe2021efbc73431139396ba737bd8d637a446cd58e7d78c967135"},
     ),
     "count": (
         ["--n", "3", "--r", "2", "--norm", "box", "--bounds", "1..5"],
@@ -1025,8 +1049,8 @@ GOLDEN_RUNS = {
     "period-scan": (
         ["--h-min", "1e4", "--h-max", "1e8", "--samples", "100", "--seed", "11"],
         {
-            "period_scan.csv": "ba8496fe6fe564eb681cc3a9ce7c492ffc959a77840a1bade871f108b1808c7d",
-            "period_scan_summary.json": "a87c0687345407a19861c54354f4986d3ca135bf88fbcb2516210e96a51994e0",
+            "period_scan.csv": "3b98c15e9536802bfac40e44f6b0a8142ede3d8d15badfbddcd9881529e23cdb",
+            "period_scan_summary.json": "61bda8eb15e0f75996f247e0ad83d9c96d73ce0cecdaf8b34a33e440ae3ee828",
         },
     ),
     "predicted-table": (

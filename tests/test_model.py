@@ -33,6 +33,7 @@ from altrank.model import (
     empirical_square_cyclic_fraction,
     is_square_of_cyclic,
     is_valid_curve,
+    merge_distributions,
     model_params,
     predicted_table,
     rank_survey,
@@ -51,7 +52,7 @@ from altrank.model import (
     _survey_chunk,
     _uniform_list,
 )
-from altrank.parallel import chunk_seed
+from altrank.parallel import SAMPLE_CHUNK, chunk_seed, seeded_chunks
 from altrank.periods import period_bound_scan
 from altrank.primes import factorize, iroot
 
@@ -457,7 +458,8 @@ def test_survey_chunk_matches_public_draws():
         (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3)),
         (10**29, ModelConfig(seed=11)),
     ]:
-        rng = Random(chunk_seed(cfg.seed, "survey:0", 0))
+        seed = chunk_seed(cfg.seed, "survey:0", 0)
+        rng = Random(seed)
         want = [0] * 6
         for _ in range(600):
             c = sample_curve_in_band(cap, rng)
@@ -465,7 +467,7 @@ def test_survey_chunk_matches_public_draws():
             corank = kernel_rank(sample_alternating(p.n, p.x, rng))
             for r in range(1, min(corank, 5) + 1):
                 want[r] += 1
-        assert _survey_chunk((cap, 0, 0, 600, cfg)) == want
+        assert _survey_chunk((cap, 0, 600, seed, cfg)) == want
 
 
 def test_model_config_validation():
@@ -672,7 +674,12 @@ def test_sha_distribution_n2_vs_census(method, tmp_path):
     # the model matches the census, and sha-dist writes the model's table
     # under either --method value
     want = brute_torsion_distribution_n2(3, 2)
-    dist = empirical_sha_distribution(2, 3, 0, 2, 4000, Random(38))
+    # sha-dist's draws: two seeded chunks, merged in chunk order
+    chunks = seeded_chunks(4000, SAMPLE_CHUNK, 38, "sha-dist")
+    assert len(chunks) == 2
+    dist = merge_distributions(
+        [empirical_sha_distribution(2, 3, 0, 2, size, Random(seed)) for size, seed in chunks]
+    )
     assert dist.total == 4000
     for label, frac in want.items():
         emp = dist.frequency(label)

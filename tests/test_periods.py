@@ -4,7 +4,7 @@ from random import Random
 import mpmath
 import pytest
 
-from altrank.model import MAX_FLOAT_HEIGHT, sample_curve_in_band
+from altrank.model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, _band_nonempty, sample_curve_in_band
 from altrank.periods import (
     _EST_RELATIVE_ERROR,
     _gauss_kronrod,
@@ -227,3 +227,18 @@ def test_period_bound_scan_validation():
         period_bound_scan((10, 10**4), 200, rng)
     with pytest.raises(ValueError, match="at most"):
         period_bound_scan((10**4, 10**320), 200, rng)  # past float range
+
+
+def test_scan_refuses_a_range_that_reaches_an_empty_band():
+    # below 1e4 the bands of caps 100-107 and 216-242 hold no valid
+    # curve; a range that reaches one is refused whatever the seed,
+    # naming the first such cap, and its neighbours run
+    empty = [cap for cap in range(MIN_HEIGHT, 10**4) if not _band_nonempty(cap)]
+    assert empty == [*range(100, 108), *range(216, 243)]
+    for h_range, cap in [((240, 5000), 240), ((200, 5000), 216), ((100, 10**6), 100), ((108, 216), 216)]:
+        for seed in range(1, 11):
+            with pytest.raises(ValueError, match=rf"reach cap {cap}, and no valid curve has height in \({cap}/2, {cap}\]"):
+                period_bound_scan(h_range, 100, Random(seed))
+    for h_range in [(108, 215), (243, 5000)]:
+        summary, _rows = period_bound_scan(h_range, 100, Random(1))
+        assert summary["samples"] == 100
