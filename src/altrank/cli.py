@@ -42,6 +42,8 @@ from .groups import (
 )
 from .model import (
     ModelConfig,
+    check_cl_distribution,
+    check_sha_distribution,
     empirical_cl_distribution,
     empirical_sha_distribution,
     merge_distributions,
@@ -312,12 +314,12 @@ def _sample_chunk(spec):
     return sampler(*args, size, Random(seed))
 
 
-def _sample(command: str, sampler, args, settings) -> list:
+def _sample(command: str, check, sampler, args, settings) -> list:
     """The results of `sampler` on the SAMPLE_CHUNK chunks of
     settings["samples"], in chunk order, chunk i seeded from (seed,
-    command, i) whatever the thread count."""
-    if settings["samples"] < 1:
-        raise ValueError("need at least one sample")
+    command, i) whatever the thread count.  check(*args, samples)
+    refuses a bad input once, before any chunk or pool."""
+    check(*args, settings["samples"])
     chunks = seeded_chunks(settings["samples"], SAMPLE_CHUNK, settings["seed"], command)
     specs = [(sampler, args, size, seed) for size, seed in chunks]
     return map_chunks(_sample_chunk, specs, settings["threads"])
@@ -352,7 +354,8 @@ def cmd_simulate(settings, emitter) -> int:
 def cmd_sha_dist(settings, emitter) -> int:
     p, r = settings["p"], settings["r"]
     args = (settings["n"], settings["x"], r, p)
-    dist = merge_distributions(_sample("sha-dist", empirical_sha_distribution, args, settings))
+    parts = _sample("sha-dist", check_sha_distribution, empirical_sha_distribution, args, settings)
+    dist = merge_distributions(parts)
     # a doubled label's exponents pair up; its base is every other one
     reference = _reference(
         dist.counts,
@@ -379,7 +382,8 @@ def cmd_sha_dist(settings, emitter) -> int:
 def cmd_cl_dist(settings, emitter) -> int:
     p = settings["p"]
     args = (settings["n"], p, settings["k"])
-    dist = merge_distributions(_sample("cl-dist", empirical_cl_distribution, args, settings))
+    parts = _sample("cl-dist", check_cl_distribution, empirical_cl_distribution, args, settings)
+    dist = merge_distributions(parts)
     reference = _reference(
         dist.counts,
         [AbelianPGroup(p, lam) for lam in partitions_up_to(3)],
@@ -430,8 +434,7 @@ def cmd_period_scan(settings, emitter) -> int:
     from .periods import check_period_scan, period_scan_rows, period_scan_summary
 
     h_range = (settings["h_min"], settings["h_max"])
-    check_period_scan(h_range, settings["samples"])
-    parts = _sample("period-scan", period_scan_rows, (h_range,), settings)
+    parts = _sample("period-scan", check_period_scan, period_scan_rows, (h_range,), settings)
     rows = [row for part in parts for row in part]
     emitter.csv(
         "period_scan.csv",

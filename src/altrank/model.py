@@ -63,8 +63,10 @@ __all__ = [
     "torsion_label",
     "is_square_of_cyclic",
     "empirical_corank_prob",
+    "check_sha_distribution",
     "empirical_sha_distribution",
     "empirical_square_cyclic_fraction",
+    "check_cl_distribution",
     "empirical_cl_distribution",
     "merge_distributions",
     "rank_survey",
@@ -520,6 +522,28 @@ def empirical_corank_prob(n: int, x: int, r: int) -> Fraction:
     return Fraction(hist.at_most(n - r), hist.total)
 
 
+def check_sha_distribution(n: int, x: int, r: int, p: int, samples: int) -> None:
+    """The ValueErrors of empirical_sha_distribution, raised before any draw."""
+    if r not in (0, 1):
+        raise ValueError("conditioned corank must be 0 or 1")
+    if n % 2 != r % 2:
+        raise ValueError("corank r requires n = r (mod 2)")
+    if x < 1:
+        # x = 0 draws only the zero matrix, whose corank is always n
+        raise ValueError("entry bound x must be at least 1")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if not is_prime(p):
+        # the kernel inverts units mod p**prec, which needs p prime
+        raise ValueError(f"p must be prime, got {p}")
+    if n < 0:
+        # no draw would refuse it: n(n-1)/2 is positive at n < 0
+        raise ValueError("dimension must be nonnegative")
+    # the kernel mod p**10 costs as half its size (2 x 2 pivots); Bareiss averages n*bits(x)/3 bits
+    kernel = ((n + 1) // 2, 10 * (p - 1).bit_length())
+    _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n, n * x.bit_length() // 3))
+
+
 def empirical_sha_distribution(
     n: int,
     x: int,
@@ -540,24 +564,7 @@ def empirical_sha_distribution(
     sample_alternating, the same values from the same RNG calls, passed
     to the kernel without an AlternatingMatrix around it.
     """
-    if r not in (0, 1):
-        raise ValueError("conditioned corank must be 0 or 1")
-    if n % 2 != r % 2:
-        raise ValueError("corank r requires n = r (mod 2)")
-    if x < 1:
-        # x = 0 draws only the zero matrix, whose corank is always n
-        raise ValueError("entry bound x must be at least 1")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not is_prime(p):
-        # the kernel inverts units mod p**prec, which needs p prime
-        raise ValueError(f"p must be prime, got {p}")
-    if n < 0:
-        # no draw would refuse it: n(n-1)/2 is positive at n < 0
-        raise ValueError("dimension must be nonnegative")
-    # the kernel mod p**10 costs as half its size (2 x 2 pivots); Bareiss averages n*bits(x)/3 bits
-    kernel = ((n + 1) // 2, 10 * (p - 1).bit_length())
-    _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n, n * x.bit_length() // 3))
+    check_sha_distribution(n, x, r, p, samples)
     getrandbits = rng.getrandbits
     counts: Counter = Counter()
     drawn = 0
@@ -601,34 +608,8 @@ def empirical_square_cyclic_fraction(
     return Estimate(p_hat, math.sqrt(p_hat * (1 - p_hat) / samples))
 
 
-def empirical_cl_distribution(
-    n: int, p: int, k: int, samples: int, rng: Random
-) -> EmpiricalDistribution:
-    """p-part labels of cokernels of uniform square matrices mod p**k.
-
-    Entries are only known to a finite number of p-adic digits: each
-    draw starts with its first k + 2 digits, one uniform value mod
-    p**(k + 2) per entry, and is certified by one elimination modulo
-    p**(prec+2), the digits drawn so far, at prec = k: no diagonal may
-    vanish and every valuation must be at most prec-2.  The kernel's
-    ints are exact, so an accepted draw's cokernel does not depend on
-    the digits not yet drawn.  The bound prec-2 is stricter than
-    exactness needs; it fixes which draws are refined, and so the RNG
-    stream and `refinement_rounds`.  An uncertified draw gets two more
-    uniform digits appended to every entry (which refines the same
-    p-adic law) and is retried with prec raised by 2.
-
-    Odd p draws the entries row-major with _uniform_list and eliminates
-    with diag_valuations_mod.  At p = 2 a residue mod 2**(prec + 2) is a
-    bit field, so each row is one int of n lanes of w = 2 * (prec + 2)
-    bits, lane j the low prec + 2 bits of bits j*w to j*w + w - 1 of one
-    getrandbits(n * w) call per row, and _diag_valuations_mod2_packed
-    eliminates a whole row per operation.  A refinement round moves the
-    lanes to the wider width and takes each entry's two new digits from
-    bits prec and prec + 1 (prec raised) of its lane of one more
-    getrandbits(n * w) call per row, at the new w.  Both routes draw
-    every digit uniformly and independently, so they have the same law.
-    """
+def check_cl_distribution(n: int, p: int, k: int, samples: int) -> None:
+    """The ValueErrors of empirical_cl_distribution, raised before any draw."""
     if n < 0:
         raise ValueError(f"matrix size n must be nonnegative, got {n}")
     if k < 5:
@@ -637,14 +618,42 @@ def empirical_cl_distribution(
         raise ValueError(f"p must be prime, got {p}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    # the first elimination mod p**(k + 2), of log2(p) bits a digit rounded up (exact at p = 2),
-    # and its pivot inverses (n + 2); about 1 draw in 50 refines
-    _check_draw_cost("n {}, p {} and k {}", (n, p, k), (n + 2, (k + 2) * (p - 1).bit_length()))
+    # the first elimination mod p**k, of log2(p) bits a digit rounded up (exact at p = 2),
+    # and its pivot inverses (n + 2); about 1 draw in 120 refines
+    _check_draw_cost("n {}, p {} and k {}", (n, p, k), (n + 2, k * (p - 1).bit_length()))
+
+
+def empirical_cl_distribution(
+    n: int, p: int, k: int, samples: int, rng: Random
+) -> EmpiricalDistribution:
+    """p-part labels of cokernels of uniform square matrices over Z_p.
+
+    Entries are only known to a finite number of p-adic digits: each
+    draw starts with its first k digits, one uniform value mod p**k per
+    entry, and is eliminated modulo p**prec, the digits drawn so far, at
+    prec = k.  The kernel's ints are exact valuations, so a draw is
+    accepted exactly when no diagonal vanishes mod p**prec: its cokernel
+    then does not depend on the digits not yet drawn.  Otherwise every
+    entry gets two more uniform digits appended (which refines the same
+    p-adic law) and the draw is retried with prec raised by 2.
+
+    Odd p draws the entries row-major with _uniform_list and eliminates
+    with diag_valuations_mod.  At p = 2 a residue mod 2**prec is a bit
+    field, so each row is one int of n lanes of w = 2 * prec bits, lane j
+    the low prec bits of bits j*w to j*w + w - 1 of one getrandbits(n * w)
+    call per row, and _diag_valuations_mod2_packed eliminates a whole row
+    per operation.  A refinement round moves the lanes to the wider width
+    and takes each entry's two new digits from bits prec and prec + 1 of
+    its lane of one more getrandbits(n * w) call per row, at the new w.
+    Both routes draw every digit uniformly and independently, so they
+    have the same law.
+    """
+    check_cl_distribution(n, p, k, samples)
     getrandbits = rng.getrandbits
     if p == 2:
-        # lanes of 2 * (prec + 2) bits hold entries mod 2**(prec + 2)
-        w = 2 * (k + 2)
-        first = _lane_ones(n, w) * ((1 << k + 2) - 1)
+        # lanes of 2 * prec bits hold entries mod 2**prec
+        w = 2 * k
+        first = _lane_ones(n, w) * ((1 << k) - 1)
 
         def draw():
             return [getrandbits(n * w) & first for _ in range(n)]
@@ -658,10 +667,10 @@ def empirical_cl_distribution(
             ]
 
         def valuations(rows, prec):
-            return _diag_valuations_mod2_packed(rows, n, prec + 2)
+            return _diag_valuations_mod2_packed(rows, n, prec)
 
     else:
-        span = p ** (k + 2)
+        span = p**k
 
         def draw():
             return [_uniform_list(getrandbits, span, n) for _ in range(n)]
@@ -674,26 +683,20 @@ def empirical_cl_distribution(
             ]
 
         def valuations(rows, prec):
-            return diag_valuations_mod(rows, n, p, prec + 2)
+            return diag_valuations_mod(rows, n, p, prec)
 
     counts: Counter = Counter()
     refinement_rounds = 0
     for _ in range(samples):
-        rows = draw()
-        prec = k
-        while True:
-            vals = valuations(rows, prec)
-            # vals ascend with Nones last
-            if not vals or vals[-1] is not None and vals[-1] <= prec - 2:
-                break
+        rows, prec = draw(), k
+        while None in (vals := valuations(rows, prec)):
             refinement_rounds += 1
-            prec += 2
-            if prec > k + 24:
+            if prec >= k + 24:
                 raise RuntimeError(
                     "cokernel structure failed to stabilize; this has "
                     "probability around p**-24 and suggests a broken rng"
                 )
-            rows = refine(rows, prec)
+            rows, prec = refine(rows, prec), prec + 2
         counts[tuple(vals)] += 1
     return EmpiricalDistribution(
         _label_counts(p, counts),

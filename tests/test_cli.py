@@ -1037,7 +1037,7 @@ GOLDEN_RUNS = {
     ),
     "cl-dist": (
         ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
-        {"cl_dist.json": "db7b51343fafe2021efbc73431139396ba737bd8d637a446cd58e7d78c967135"},
+        {"cl_dist.json": "c7f6017ec126cb8d15cf1c44870ae3e9911f6ab2668544830a10afedc7fafc11"},
     ),
     "count": (
         ["--n", "3", "--r", "2", "--norm", "box", "--bounds", "1..5"],

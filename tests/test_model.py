@@ -9,12 +9,13 @@ from hypothesis import given, strategies as st
 
 import altrank.model
 from altrank.cli import main
-from altrank.groups import AbelianPGroup, group_label
+from altrank.groups import AbelianPGroup, aut_order, group_label, partitions_up_to
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
     _p_valuation,
     cokernel,
+    diag_valuations_mod,
     kernel_rank,
     smith_divisors,
 )
@@ -770,39 +771,90 @@ def test_cl_distribution_small_matches_gl_probability():
     assert dist.meta["refinement_rounds"] >= 0
 
 
+def finite_cl_law(p: int, n: int, exponents) -> Fraction:
+    # P(coker = G) for a Haar-uniform n x n matrix over Z_p (Friedman and
+    # Washington, 1989): #Aut(G)^-1 prod_{i=1..n} (1 - p^-i)
+    # prod_{i=n-r+1..n} (1 - p^-i), r the p-rank of G; 0 when r > n
+    r = len(exponents)
+    if r > n:
+        return Fraction(0)
+    law = Fraction(1, aut_order(AbelianPGroup(p, tuple(exponents))))
+    for i in [*range(1, n + 1), *range(n - r + 1, n + 1)]:
+        law *= 1 - Fraction(1, p**i)
+    return law
+
+
+@pytest.mark.parametrize("p, n, k", [(2, 2, 4), (2, 3, 2), (3, 2, 2)])
+def test_finite_cl_law_matches_exhaustive_census(p, n, k):
+    # every matrix mod p**k; a group all of whose exponents are below k
+    # has exactly the law's mass, and is the cokernel of exactly the
+    # matrices whose valuations mod p**k are all ints
+    census: dict = {}
+    for entries in product(range(p**k), repeat=n * n):
+        rows = [entries[i : i + n] for i in range(0, n * n, n)]
+        vals = diag_valuations_mod(rows, n, p, k)
+        if None not in vals:
+            exponents = AbelianPGroup.from_valuations(p, vals).exponents
+            census[exponents] = census.get(exponents, 0) + 1
+    total = p ** (k * n * n)
+    law = {
+        lam: finite_cl_law(p, n, lam)
+        for lam in partitions_up_to(n * (k - 1))
+        if len(lam) <= n and all(e < k for e in lam)
+    }
+    assert {lam: Fraction(c, total) for lam, c in census.items()} == law
+
+
+@pytest.mark.parametrize("n, p", list(product([2, 3], repeat=2)))
+def test_cl_distribution_matches_finite_n_law(n, p):
+    # |z| <= 5 per label at 2e4 samples, fixed before the run; a group
+    # of p-rank above n has law 0 and must never be drawn
+    samples = 20_000
+    dist = empirical_cl_distribution(n, p, 5, samples, Random(100 * n + p))
+    for lam in partitions_up_to(4):
+        count = dist.counts.get(group_label(AbelianPGroup(p, lam)), 0)
+        q = finite_cl_law(p, n, lam)
+        if q == 0:
+            assert count == 0, lam
+        else:
+            z = (count - samples * q) / math.sqrt(samples * q * (1 - q))
+            assert abs(z) <= 5, (lam, count, float(q))
+
+
 @pytest.mark.parametrize(
     "n, p, k, samples, seed",
     [(8, 2, 8, 300, 1), (5, 3, 5, 300, 11), (4, 2, 5, 2000, 3), (1, 2, 5, 500, 5), (0, 2, 5, 5, 6)],
 )
 def test_cl_distribution_matches_exact_smith_on_replayed_draws(n, p, k, samples, seed):
     # Replays the sampler's digit order from the RNG itself.  At odd p a
-    # draw's entries, row-major, are uniform mod p**(k + 2), and each
-    # refinement adds p**prec times a uniform digit pair mod p**2 to every
-    # entry, in the same order, prec having been raised by 2.  At p = 2
-    # row i is one getrandbits(n * w), w = 2 * (k + 2), and entry (i, j)
-    # the low k + 2 bits of its bits j*w to j*w + w - 1; a refinement
-    # draws one getrandbits(n * w) per row at the new w = 2 * (prec + 2)
-    # and adds 2**prec times bits j*w + prec and j*w + prec + 1 of it to
-    # entry (i, j).  Each draw is classified by the p-valuations of its
-    # exact integer Smith divisors, and refined when a divisor is 0 or its
-    # valuation exceeds prec - 2.
-    rng = Random(seed)
+    # draw's entries, row-major, are uniform mod p**k, and each refinement
+    # adds p**prec times a uniform digit pair mod p**2 to every entry, in
+    # the same order, before prec is raised by 2.  At p = 2 row i is one
+    # getrandbits(n * w), w = 2 * k, and entry (i, j) the low k bits of
+    # its bits j*w to j*w + w - 1; a refinement draws one
+    # getrandbits(n * w) per row at the new w = 2 * (prec + 2) and adds
+    # 2**prec times bits j*w + prec and j*w + prec + 1 of it to entry
+    # (i, j).  Each draw is classified by the p-valuations of its exact
+    # integer Smith divisors, and accepted when every divisor is nonzero
+    # with valuation below prec.  Exactness is what certifies it: two more
+    # random digits on every entry of an accepted draw leave its
+    # valuations as they are.
+    rng, more = Random(seed), Random(seed + 10**6)
     counts: dict = {}
     rounds = 0
     for _ in range(samples):
         prec = k
         if p == 2:
-            w = 2 * (k + 2)
+            w = 2 * k
             rows = [rng.getrandbits(n * w) for _ in range(n)]
-            entries = [r >> j * w & 2 ** (k + 2) - 1 for r in rows for j in range(n)]
+            entries = [r >> j * w & 2**k - 1 for r in rows for j in range(n)]
         else:
-            entries = [rng.randrange(p ** (k + 2)) for _ in range(n * n)]
+            entries = [rng.randrange(p**k) for _ in range(n * n)]
         while True:
             divisors = smith_divisors(IntegerMatrix(n, n, entries))
-            if all(d and _p_valuation(d, p) <= prec - 2 for d in divisors):
+            if all(d and _p_valuation(d, p) < prec for d in divisors):
                 break
             rounds += 1
-            prec += 2
             if p == 2:
                 w = 2 * (prec + 2)
                 rows = [rng.getrandbits(n * w) for _ in range(n)]
@@ -810,7 +862,10 @@ def test_cl_distribution_matches_exact_smith_on_replayed_draws(n, p, k, samples,
             else:
                 digits = [rng.randrange(p * p) for _ in range(n * n)]
             entries = [e + p**prec * d for e, d in zip(entries, digits)]
+            prec += 2
         vals = [_p_valuation(d, p) for d in divisors]
+        longer = [e + p**prec * more.randrange(p * p) for e in entries]
+        assert [_p_valuation(d, p) for d in smith_divisors(IntegerMatrix(n, n, longer))] == vals
         label = group_label(AbelianPGroup.from_valuations(p, vals))
         counts[label] = counts.get(label, 0) + 1
     dist = empirical_cl_distribution(n, p, k, samples, Random(seed))
@@ -847,13 +902,13 @@ def test_distribution_streams_at_benchmark_shapes():
         assert (dist.counts, dist.meta["draws"]) == (counts, draws), args
     dist = empirical_cl_distribution(8, 2, 8, 600, Random(1))
     assert dist.counts == {
-        "2:[1,1,1]": 2, "2:[1,1]": 25, "2:[10]": 1, "2:[1]": 162,
-        "2:[2,1,1]": 1, "2:[2,1]": 20, "2:[2,2,1]": 1, "2:[2,2]": 1,
-        "2:[2]": 92, "2:[3,1]": 12, "2:[3,2]": 2, "2:[3]": 46, "2:[4,1]": 7,
-        "2:[4]": 24, "2:[5,1]": 3, "2:[5]": 9, "2:[6,1]": 2, "2:[6]": 5,
-        "2:[7,1]": 1, "2:[7]": 1, "2:[8,1]": 1, "2:[9,1]": 1, "2:[]": 181,
+        "2:[1,1,1]": 1, "2:[1,1]": 35, "2:[1]": 172, "2:[2,1,1]": 1,
+        "2:[2,1]": 21, "2:[2,2]": 1, "2:[2]": 73, "2:[3,1,1]": 1,
+        "2:[3,1]": 12, "2:[3,2]": 1, "2:[3]": 45, "2:[4,1]": 5, "2:[4,2]": 1,
+        "2:[4]": 18, "2:[5,1]": 3, "2:[5]": 15, "2:[6,1]": 1, "2:[6]": 7,
+        "2:[7,1]": 1, "2:[7]": 3, "2:[8]": 3, "2:[9,2]": 1, "2:[9]": 1, "2:[]": 178,
     }
-    assert dist.meta["refinement_rounds"] == 7
+    assert dist.meta["refinement_rounds"] == 5
 
 
 def test_empirical_distribution_container():

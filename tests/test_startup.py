@@ -1,6 +1,7 @@
 """Start-up cost: a CLI run imports only the modules its command uses,
 needs no package outside the standard library, and a process pool
-starts no more workers than there are chunks."""
+starts no more workers than there are chunks, and none for a refused
+input."""
 
 import concurrent.futures
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import altrank
+from altrank.cli import main
 from altrank.parallel import map_chunks
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
@@ -208,3 +210,21 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch, threads, chunks):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert map_chunks(abs, range(-chunks, 0), threads) == list(range(chunks, 0, -1))
     assert RecordingPool.sizes == [min(threads, chunks)]
+
+
+# each would run in 3 chunks, so at --threads 2 a pool would start
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sha-dist --p 4 --samples 5001",
+        "cl-dist --n 3000 --samples 5001",
+        "period-scan --h-min 100 --h-max 200 --samples 5001",
+    ],
+    ids=["sha-dist", "cl-dist", "period-scan"],
+)
+def test_refused_input_starts_no_pool(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main([*argv.split(), "--threads", "2", "--out", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert RecordingPool.sizes == []
