@@ -32,6 +32,7 @@ _EXPORTS = {
         "aut_order",
         "cl_measure",
         "delaunay_measure",
+        "finite_cl_law",
         "group_label",
         "partitions_up_to",
         "symplectic_aut_order",
@@ -43,7 +44,6 @@ _EXPORTS = {
         "IntegerMatrix",
         "SmithDecomposition",
         "cokernel",
-        "cokernel_p_part",
         "determinant",
         "divisors_from_minors",
         "kernel_rank",
@@ -56,7 +56,6 @@ _EXPORTS = {
         "CurveParams",
         "EmpiricalDistribution",
         "Estimate",
-        "ModelConfig",
         "ModelDraw",
         "ModelParams",
         "SurveyRecord",
@@ -87,6 +86,7 @@ _EXPORTS = {
     ),
     "parallel": (),  # reachable as `altrank.parallel`, as before
     "primes": ("factorize", "iroot", "is_prime", "primes_up_to"),
+    "settings": ("ModelConfig",),
 }
 
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,34 +1,31 @@
 """Command-line harness: reproducible experiments with run manifests.
 
-Every data-producing subcommand writes fixed-name outputs plus a
-<stem of the first output>_manifest.json recording command, claim tag,
-seed, thread count, and the full effective configuration.  Each command
-is declared once, in `_COMMANDS`; its flags, config keys and manifest
-follow from that entry, and each key's parser from its default.  The
-`verify` suites and their oracles live in `altrank.verify`, which only
-`verify` imports.  All randomness flows from the configured seed:
-simulate, sha-dist, cl-dist and period-scan draw in fixed-size chunks
-seeded from (seed, label, chunk index), which --threads worker
-processes run (count runs one census per bound), merged in chunk
-order.  Floats are emitted with repr and JSON keys are sorted, so
-outputs are byte-identical for a given seed at any --threads value.
-The manifest timestamp is the one intentionally non-reproducible field.
+`altrank.settings` parses argv, resolves the settings and holds the
+command table; its `main` imports this module only for a command that
+runs, and calls `run_command`.  Every data-producing subcommand writes
+fixed-name outputs plus a <stem of the first output>_manifest.json
+recording command, claim tag, seed, thread count, and the full
+effective configuration.  The `verify` suites and their oracles live in
+`altrank.verify`, which only `verify` imports.  All randomness flows
+from the configured seed: simulate, sha-dist, cl-dist and period-scan
+draw in fixed-size chunks seeded from (seed, label, chunk index), which
+--threads worker processes run (count runs one census per bound),
+merged in chunk order.  Floats are emitted with repr and JSON keys are
+sorted, so outputs are byte-identical for a given seed at any --threads
+value.  The manifest timestamp is the one intentionally
+non-reproducible field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from collections import ChainMap
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from random import Random
-from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .groups import (
@@ -41,7 +38,6 @@ from .groups import (
     symplectic_support,
 )
 from .model import (
-    ModelConfig,
     check_cl_distribution,
     check_sha_distribution,
     empirical_cl_distribution,
@@ -51,132 +47,12 @@ from .model import (
     rank_survey,
 )
 from .parallel import SAMPLE_CHUNK, map_chunks, seeded_chunks
+from .settings import _COMMANDS, _MODEL_KEYS, _SUITES, ModelConfig
+from .settings import main  # noqa: F401  altrank.cli.main, for runs in process
 
 # counting, periods and verify are imported inside the commands that use
 # them, datetime inside _write_manifest: every import costs each run
 # start-up time
-
-# ---------------------------------------------------------------------------
-# exact numeric parsing (scientific notation must never round-trip a float)
-
-
-# int() refuses longer decimal strings by default, and str() longer ints
-MAX_INT_DIGITS = 4300
-
-
-def parse_exact_int(value: str) -> int:
-    """The integer a decimal string names, plain or in scientific notation.
-
-    The string is read by decimal.Decimal, so "1.50e1" is 15, "100e-2" is
-    1 and underscores are ignored; it must name a finite integral value
-    of at most MAX_INT_DIGITS digits.  Any other string raises a
-    ValueError that names it.
-    """
-    try:
-        d = Decimal(value)
-        integral = d.is_finite() and d == d.to_integral_value()
-    except InvalidOperation:
-        integral = False
-    if not integral:
-        raise ValueError(f"{value!r} is not an integer")
-    # judged from Decimal's exponent, before int() forms a long integer
-    if d and d.adjusted() >= MAX_INT_DIGITS:
-        raise ValueError(f"integer {value[:30]!r} has more than {MAX_INT_DIGITS} digits")
-    return int(d)
-
-
-def parse_int_list(value: str) -> list:
-    t = value.strip()
-    if ".." in t:
-        lo, _, hi = t.partition("..")
-        lo, hi = parse_exact_int(lo), parse_exact_int(hi)
-        if hi < lo:
-            raise ValueError(f"bad range {value!r}")
-        if hi - lo >= 10**6:
-            # lo..hi steps by 1; a span like 1e10..1e15 wants a comma list
-            raise ValueError(f"range {value!r} too large, use a comma list")
-        return list(range(lo, hi + 1))
-    out = [parse_exact_int(part) for part in t.split(",") if part.strip()]
-    if not out:
-        raise ValueError(f"empty list {value!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# configuration: defaults < config file < command-line flags
-
-# simulate's settings passed through to ModelConfig, with its defaults
-_MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
-
-# the values a config file or flag may give for these keys; --method only
-# records its value in meta.method, since sha-dist has one exact route
-_CHOICES = {"method": ("exact", "mod"), "norm": ("box", "l2")}
-
-_GLOBAL_DEFAULTS = {"seed": 12345, "threads": 1, "out": None}
-
-
-def _read_config_file(path: str):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            pairs.append((key.strip(), val.strip()))
-    return pairs
-
-
-def _parser(default) -> Callable:
-    """A key's parser, which its default decides: anything but a list or
-    an int (None, a str, the Fraction ModelConfig coerces) stays a str."""
-    if isinstance(default, list):
-        return parse_int_list
-    return parse_exact_int if isinstance(default, int) else str
-
-
-def _resolve_settings(args) -> dict:
-    command = _COMMANDS.get(args.command)
-    defaults = command.defaults if command else {}
-    settings = {**_GLOBAL_DEFAULTS, **defaults}
-    # where each explicitly given key came from: "--key" or "config key"
-    given = {}
-    if getattr(args, "config", None):
-        # the known keys: the global ones and every command's defaults
-        known = ChainMap(_GLOBAL_DEFAULTS, *(c.defaults for c in _COMMANDS.values()))
-        for key, raw in _read_config_file(args.config):
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            # a command reads the global keys and its own defaults;
-            # print-config only displays settings, so it takes any key
-            if command and key not in _GLOBAL_DEFAULTS and key not in defaults:
-                raise ValueError(f"{args.command} does not read config key {key!r}")
-            settings[key] = _parser(known[key])(raw)
-            given[key] = f"config key {key!r}"
-    # flags are read in the command's declared key order
-    for key, default in {**_GLOBAL_DEFAULTS, **defaults}.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = _parser(default)(flag)
-            given[key] = f"--{key}"
-    if hasattr(args, "suite"):
-        settings["suite"] = args.suite
-        # each suite reads some of verify's defaults and refuses the rest
-        reads = _SUITES[args.suite].reads
-        for key in defaults:
-            if key in given and key not in reads:
-                raise ValueError(f"verify {args.suite} does not read {given[key]}")
-    threads = settings["threads"]
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    # a config file bypasses argparse's choices
-    for key, choices in _CHOICES.items():
-        if key in settings and settings[key] not in choices:
-            raise ValueError(f"unknown {key} {settings[key]!r}")
-    return settings
-
 
 # ---------------------------------------------------------------------------
 # deterministic emission
@@ -304,8 +180,8 @@ def _distribution_payload(dist, reference, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns 0, or 1 for a failed verification; main then
-# writes the run manifest
+# commands: each returns 0, or 1 for a failed verification;
+# run_command then writes the run manifest
 
 
 def _sample_chunk(spec):
@@ -459,21 +335,6 @@ def cmd_predicted_table(settings, emitter) -> int:
 # verify: the suites live in altrank.verify, one function per suite name
 
 
-class _Suite(NamedTuple):
-    reads: tuple  # the settings it reads, each at least 1
-    claim: str
-
-
-# a suite refuses --samples or --stride (flag or config key) that it does
-# not read
-_SUITES = {
-    "lattice": _Suite(("samples",), "exact-lattice-identities"),
-    "snf": _Suite(("stride",), "smith-form-cross-check"),
-    "table": _Suite((), "predicted-rank-percentages"),
-    "period": _Suite((), "real-period-cross-check"),
-}
-
-
 def cmd_verify(settings, emitter) -> int:
     from . import verify
 
@@ -492,133 +353,16 @@ def cmd_verify(settings, emitter) -> int:
     return 0 if passed else 1
 
 
+
+
 # ---------------------------------------------------------------------------
-# the command table: parser, defaults, config keys and manifests follow it
+# running a command of altrank.settings._COMMANDS
 
 
-class _Command(NamedTuple):
-    run: Callable  # (settings, emitter) -> exit code
-    claim: Optional[str]  # None: the claim of the verify suite
-    help: str
-    defaults: dict  # each key is also a flag and a config key
-
-
-_COMMANDS = {
-    "simulate": _Command(
-        cmd_simulate,
-        "rank-threshold-exponents",
-        "height-band rank survey with log-log exponent fits",
-        {
-            "h_grid": [10**6, 10**12, 10**18],
-            "curves_per_band": 10_000,
-            **{key: getattr(ModelConfig, key) for key in _MODEL_KEYS},
-        },
-    ),
-    "sha-dist": _Command(
-        cmd_sha_dist,
-        "sha-distribution-vs-delaunay",
-        "conditioned cokernel p-part distribution vs its limit law",
-        {"n": 10, "x": 10**4, "r": 0, "p": 2, "samples": 10_000, "method": "exact"},
-    ),
-    "cl-dist": _Command(
-        cmd_cl_dist,
-        "cokernel-distribution-vs-cohen-lenstra",
-        "square-matrix cokernel p-part distribution vs its limit law",
-        {"n": 8, "p": 2, "k": 8, "samples": 100_000},
-    ),
-    "count": _Command(
-        cmd_count,
-        "alternating-rank-counting-exponents",
-        "exact alternating-matrix counts by rank with slope fit",
-        {"n": 3, "r": 2, "norm": "l2", "bounds": list(range(5, 21))},
-    ),
-    "verify": _Command(
-        cmd_verify,
-        None,
-        "self-check suites; exit 1 on failure",
-        {"samples": 1000, "stride": 211},
-    ),
-    "period-scan": _Command(
-        cmd_period_scan,
-        "period-height-envelope",
-        "normalized real periods over random curves",
-        {"h_min": 10**4, "h_max": 10**10, "samples": 1000},
-    ),
-    "predicted-table": _Command(
-        cmd_predicted_table,
-        "predicted-rank-percentages",
-        "closed-form rank-category percentages",
-        {"h_list": [10**i for i in range(10, 16)]},
-    ),
-}
-
-# the help line of a flag, where it has one
-_FLAG_HELP = {
-    ("sha-dist", "method"): "recorded in meta.method; both values run the one exact route",
-    ("count", "bounds"): "comma list or lo..hi",
-    ("verify", "samples"): "random bases for lattice suite",
-    ("verify", "stride"): "n=3 exhaustive thinning for snf suite",
-}
-
-
-def _show(val) -> str:
-    return ",".join(str(v) for v in val) if isinstance(val, list) else str(val)
-
-
-def cmd_print_config(settings) -> int:
-    # settings holds the global keys and every key of the config file,
-    # which each command line shows in place of its default
-    for key in sorted(_GLOBAL_DEFAULTS):
-        print(f"{key} = {_show(settings.get(key))}")
-    for name, command in sorted(_COMMANDS.items()):
-        parts = [
-            f"{key}={_show(settings.get(key, val))}"
-            for key, val in sorted(command.defaults.items())
-        ]
-        print(f"# {name} defaults: " + " ".join(parts))
-    return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value settings file")
-    common.add_argument("--seed", help="master seed (64-bit)")
-    common.add_argument("--threads", help="worker processes")
-    common.add_argument(
-        "--out", help="output directory (or set ALTRANK_OUT); default ."
-    )
-    parser = argparse.ArgumentParser(
-        prog="altrank",
-        description="alternating-matrix rank and Sha simulation laboratory",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=command.help)
-        if name == "verify":
-            sp.add_argument("suite", choices=sorted(_SUITES))
-        for key in command.defaults:
-            sp.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                choices=_CHOICES.get(key),
-                help=_FLAG_HELP.get((name, key)),
-            )
-    sub.add_parser(
-        "print-config", parents=[common], help="show effective settings"
-    )
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        settings = _resolve_settings(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "print-config":
-        return cmd_print_config(settings)
+def run_command(name: str, settings) -> int:
+    """Run command `name` on its resolved settings under the output
+    directory, then write its manifest; a refusal removes what the run
+    wrote and returns 2."""
     out_dir = settings.get("out") or os.environ.get("ALTRANK_OUT") or "."
     emitter = Emitter(out_dir)
     try:
@@ -627,11 +371,11 @@ def main(argv=None) -> int:
         emitter.cleanup()
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
-    command = _COMMANDS[args.command]
+    command = _COMMANDS[name]
     try:
-        code = command.run(settings, emitter)
+        code = globals()[command.run](settings, emitter)
         claim = command.claim or _SUITES[settings["suite"]].claim
-        _write_manifest(emitter, args.command, claim, settings)
+        _write_manifest(emitter, name, claim, settings)
         return code
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         emitter.cleanup()

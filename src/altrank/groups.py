@@ -1,16 +1,17 @@
 """Finite abelian p-groups, automorphism counts, and limiting measures.
 
 Closed-form counts (Hillar-Rhea for plain automorphisms, an
-orbit-stabilizer reduction for pairing-preserving ones) are paired with
-brute-force enumerators that stay contractual oracles for small groups.
-Infinite products carry certified truncation tails.
+orbit-stabilizer reduction for pairing-preserving ones); the tests check
+them against brute-force enumerators on small groups.  Infinite products
+carry certified truncation tails, and the finite-n cokernel law is an
+exact Fraction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 from .frozen import frozen
 from .primes import is_prime, primes_up_to
@@ -21,10 +22,9 @@ __all__ = [
     "SymplecticPGroup",
     "MeasureValue",
     "aut_order",
-    "aut_order_brute",
     "symplectic_aut_order",
-    "symplectic_aut_order_brute",
     "cl_measure",
+    "finite_cl_law",
     "delaunay_measure",
     "alternating_square_cyclic_density",
     "group_label",
@@ -140,51 +140,6 @@ def aut_order(g: AbelianPGroup) -> int:
     return out
 
 
-def aut_order_brute(g: AbelianPGroup) -> int:
-    """Count automorphisms by enumerating every endomorphism matrix.
-
-    The (i, j) entry of an endomorphism lives in Hom(Z/p^e_j, Z/p^e_i),
-    a cyclic group of order p^min(e_i, e_j); the map is invertible iff
-    its reduction mod p is invertible (Nakayama plus finiteness), that
-    is, when linalg's local Smith kernel mod p finds no zero diagonal.
-    Only feasible for tiny groups; raises UnsupportedSizeError beyond
-    2**20 candidate matrices.
-    """
-    # linalg imports this module at its top
-    from .linalg import diag_valuations_mod
-
-    cap = 1 << 20
-    ex = g.exponents
-    m = len(ex)
-    if m == 0:
-        return 1
-    p = g.p
-    total = 1
-    ranges = []
-    for i in range(m):
-        for j in range(m):
-            ranges.append(p ** min(ex[i], ex[j]))
-            total *= ranges[-1]
-    if total > cap:
-        raise UnsupportedSizeError(
-            f"{total} endomorphism matrices exceed brute-force cap {cap}"
-        )
-    count = 0
-    for flat in itertools.product(*[range(k) for k in ranges]):
-        # mod-p reduction: entries where e_i > e_j carry a forced factor
-        # of p^(e_i - e_j), so they reduce to 0
-        red = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                v = flat[i * m + j]
-                row.append(v % p if ex[i] <= ex[j] else 0)
-            red.append(row)
-        if None not in diag_valuations_mod(red, m, p, 1):
-            count += 1
-    return count
-
-
 def _gl_order(p: int, a: int) -> int:
     out = 1
     pa = p**a
@@ -227,8 +182,8 @@ def symplectic_aut_order(s: SymplecticPGroup) -> int:
 
     The plain automorphism count divided by the number of nondegenerate
     alternating pairings (orbit-stabilizer; the action of Aut on
-    pairings is transitive).  `symplectic_aut_order_brute` enumerates
-    the same count for small groups.
+    pairings is transitive).  The tests enumerate the same count for
+    small groups.
     """
     g = s.underlying()
     total = aut_order(g)
@@ -236,104 +191,6 @@ def symplectic_aut_order(s: SymplecticPGroup) -> int:
     if total % pairings:
         raise AssertionError("pairing count does not divide automorphism count")
     return total // pairings
-
-
-def symplectic_aut_order_brute(s: SymplecticPGroup) -> int:
-    """Backtracking count of pairing-preserving automorphisms.
-
-    A pairing-preserving endomorphism is injective (nondegeneracy) and
-    hence bijective, so it suffices to count homomorphisms that preserve
-    the pairing on generators.  Generators are ordered in hyperbolic
-    pairs; the search prunes on every pairing constraint against the
-    images already fixed.
-    """
-    cap = 3**8
-    lam = s.base.exponents
-    p = s.p
-    order = s.order
-    if order > cap:
-        raise UnsupportedSizeError(f"group order {order} exceeds brute-force cap {cap}")
-    if not lam:
-        return 1
-    mu = [e for e in lam for _ in range(2)]  # generator order exponents
-    m2 = len(mu)
-    lam_max = lam[0]
-    q = p**lam_max
-    mods = [p**e for e in mu]
-    weights = [p ** (lam_max - e) for e in lam]
-
-    elements = list(itertools.product(*[range(md) for md in mods]))
-    nelem = len(elements)
-
-    def ord_exp(c) -> int:
-        o = 0
-        for s_, v in enumerate(c):
-            if v:
-                e = mu[s_]
-                w = 0
-                while v % p == 0 and w < e:
-                    v //= p
-                    w += 1
-                if e - w > o:
-                    o = e - w
-        return o
-
-    def pair(c, d) -> int:
-        tot = 0
-        for t in range(len(lam)):
-            i0 = 2 * t
-            tot += weights[t] * (c[i0] * d[i0 + 1] - c[i0 + 1] * d[i0])
-        return tot % q
-
-    # pairing targets between generator j and earlier generator i
-    basis = [tuple(int(t == s_) for t in range(m2)) for s_ in range(m2)]
-    target = [[pair(basis[j], basis[i]) for i in range(j)] for j in range(m2)]
-
-    by_maxexp: dict = {}
-    orders = [ord_exp(c) for c in elements]
-    for e in set(mu):
-        by_maxexp[e] = [ix for ix in range(nelem) if orders[ix] <= e]
-
-    table = None
-    if nelem <= 1024:
-        table = [[pair(a, b) for b in elements] for a in elements]
-
-    count = 0
-    chosen: list = []
-
-    def rec(j: int):
-        nonlocal count
-        if j == m2:
-            count += 1
-            return
-        tj = target[j]
-        if table is not None:
-            for ix in by_maxexp[mu[j]]:
-                ti = table[ix]
-                ok = True
-                for u in range(j):
-                    if ti[chosen[u]] != tj[u]:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(ix)
-                    rec(j + 1)
-                    chosen.pop()
-        else:
-            for ix in by_maxexp[mu[j]]:
-                h = elements[ix]
-                ok = True
-                for u in range(j):
-                    if pair(h, elements[chosen[u]]) != tj[u]:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(ix)
-                    rec(j + 1)
-                    chosen.pop()
-
-    rec(0)
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +222,21 @@ def cl_measure(g: AbelianPGroup) -> MeasureValue:
     base, tail = _truncated_product(g.p, 1, 1, 0, 1e-12)
     aut = aut_order(g)
     return MeasureValue(base / aut, tail / aut)._require_unit()
+
+
+def finite_cl_law(g: AbelianPGroup, n: int) -> Fraction:
+    """Exact frequency of g as the p-part of the cokernel of a
+    Haar-uniform n x n matrix over Z_p (Friedman and Washington, 1989):
+    prod_{i=1..n}(1 - p^-i) * prod_{i=n-r+1..n}(1 - p^-i) / #Aut(g), r
+    the p-rank of g, and 0 when r > n.  As n grows it tends to
+    cl_measure(g)."""
+    r = len(g.exponents)
+    if r > n:
+        return Fraction(0)
+    law = Fraction(1, aut_order(g))
+    for i in [*range(1, n + 1), *range(n - r + 1, n + 1)]:
+        law *= 1 - Fraction(1, g.p**i)
+    return law
 
 
 def delaunay_measure(s: SymplecticPGroup, r: int) -> MeasureValue:

@@ -13,7 +13,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .frozen import frozen
-from .groups import AbelianPGroup
 
 __all__ = [
     "IntegerMatrix",
@@ -28,7 +27,6 @@ __all__ = [
     "smith_divisors",
     "divisors_from_minors",
     "cokernel",
-    "cokernel_p_part",
     "matmul",
 ]
 
@@ -513,16 +511,6 @@ def _p_valuation(d: int, p: int) -> int:
         d //= p
         v += 1
     return v
-
-
-def cokernel_p_part(a: AlternatingMatrix, p: int) -> AbelianPGroup:
-    """p-primary part of the cokernel torsion, as an exponent partition."""
-    from .primes import is_prime
-
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    exponents = _corank_p_exponents(a.n, a.upper, p, kernel_rank(a))
-    return AbelianPGroup.from_valuations(p, exponents)
 
 
 def diag_valuations_mod(rows, n: int, p: int, prec: int):

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from contextlib import suppress
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -36,8 +34,9 @@ from .linalg import (
     kernel_rank,  # unused here, like smith_divisors: perfbench wraps both
     smith_divisors,
 )
-from .parallel import CHUNK, map_chunks, seeded_chunks
+from .parallel import map_chunks, seeded_chunks
 from .primes import iroot, is_prime
+from .settings import ModelConfig  # its home is the CLI front end
 
 # counting is imported inside the two functions that use it, so the
 # survey and the distribution commands never load it
@@ -80,9 +79,6 @@ MIN_HEIGHT = 100
 
 # the survey's slope fit and the period scan take heights as floats
 MAX_FLOAT_HEIGHT = int(sys.float_info.max)
-
-# bounds the cost of parsing calibration_exponent
-MAX_CALIBRATION_TERM = 1000
 
 DRAW_BUDGET = 15 * 10**6  # steps of about 0.1 us in one draw, as _check_draw_cost counts them
 
@@ -248,65 +244,6 @@ def sample_curve_in_band(height_cap: int, rng: Random) -> CurveParams:
 
 # ---------------------------------------------------------------------------
 # configuration and the (eta, x) schedule
-
-
-@frozen
-class ModelConfig:
-    """Knobs of the sampler.
-
-    eta_schedule "log3" sets eta = max(eta_floor, floor of the base-3 log
-    of height**calibration_exponent); "constant" pins eta = eta_floor.
-    The entry bound is then x = max(x_min, ceil(height**(ce/eta))), both
-    computed in exact integer arithmetic, so that x**eta tracks
-    height**ce up to a bounded factor.  With the defaults the ratio
-    x**eta / height**(1/12) stays inside [1, 16] for heights between
-    1e4 and 1e30.
-
-    The numerator and denominator of calibration_exponent are at most
-    MAX_CALIBRATION_TERM (1000).  rank_survey refuses a schedule whose
-    top-height rank (n = eta + 1, b = n * bits(x) / 3) and power
-    x**(den*eta) (n = 1) pass DRAW_BUDGET at n**3 * (1 + b / 300)**2 steps.
-    """
-
-    eta_schedule: str = "log3"
-    eta_floor: int = 2
-    x_min: int = 2
-    calibration_exponent: Fraction = Fraction(1, 12)
-    seed: int = 12345
-    chunk: int = CHUNK
-
-    def __post_init__(self):
-        ce = self.calibration_exponent
-        if isinstance(ce, float):
-            raise TypeError(
-                "calibration_exponent must be exact; pass a Fraction or a "
-                "string like '1/12'"
-            )
-        m = MAX_CALIBRATION_TERM
-        bound = f"must lie in [1/{m}, {m}], with numerator and denominator at most {m}"
-        # Fraction forms 10**e at a decimal string's exponent e: Decimal
-        # sizes it first
-        with suppress(InvalidOperation):
-            if isinstance(ce, str) and "/" not in ce and abs(Decimal(ce).adjusted()) > 3:
-                raise ValueError(f"calibration_exponent {ce} {bound}")
-        if not isinstance(ce, Fraction):
-            try:
-                ce = Fraction(ce)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"calibration_exponent {ce!r} is not a fraction") from None
-            object.__setattr__(self, "calibration_exponent", ce)
-        if self.calibration_exponent <= 0:
-            raise ValueError("calibration_exponent must be positive")
-        if max(ce.numerator, ce.denominator) > m:
-            raise ValueError(f"calibration_exponent {ce} {bound}")
-        if self.eta_schedule not in ("log3", "constant"):
-            raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
-        if self.eta_floor < 1:
-            raise ValueError("eta_floor must be at least 1")
-        if self.x_min < 2:
-            raise ValueError("x_min must be at least 2")
-        if self.chunk < 1:
-            raise ValueError("chunk must be positive")
 
 
 class ModelParams(NamedTuple):

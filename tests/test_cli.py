@@ -15,8 +15,10 @@ import altrank
 import altrank.cli
 import altrank.counting
 import altrank.model
+import altrank.settings
 import altrank.verify
-from altrank.cli import main, parse_exact_int, parse_int_list
+from altrank.cli import main
+from altrank.settings import parse_exact_int, parse_int_list
 
 SRC_DIR = str(Path(altrank.__file__).resolve().parent.parent)
 
@@ -230,7 +232,7 @@ PARSER_SURFACE = {
 }
 
 
-# the parser of each setting key as cli.py once spelled it out, key by
+# the parser of each setting key as the CLI once spelled it out, key by
 # key; each now follows from the key's default
 SCHEMA = {
     "seed": parse_exact_int,
@@ -260,11 +262,11 @@ SCHEMA = {
 
 
 def test_each_key_parser_follows_from_its_default():
-    cli = altrank.cli
+    front = altrank.settings
     types = {}
-    for defaults in [cli._GLOBAL_DEFAULTS] + [c.defaults for c in cli._COMMANDS.values()]:
+    for defaults in [front._GLOBAL_DEFAULTS] + [c.defaults for c in front._COMMANDS.values()]:
         for key, default in defaults.items():
-            assert cli._parser(default) is SCHEMA[key], key
+            assert front._parser(default) is SCHEMA[key], key
             # every command that declares a key gives it a default of one type
             assert types.setdefault(key, type(default)) is type(default), key
     assert len(SCHEMA) == 23
@@ -278,7 +280,7 @@ def test_flags_are_read_in_the_declared_key_order(capsys):
 
 
 def test_parser_surface_is_pinned():
-    parser = altrank.cli._build_parser()
+    parser = altrank.settings._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     got = {}
     for name, subparser in sub.choices.items():
@@ -1098,7 +1100,7 @@ def test_verify_snf_thinned(tmp_path, capsys):
 
 def test_suite_table_names_the_functions_of_verify():
     # cmd_verify runs altrank.verify.<suite>; the module's public
-    # functions are exactly the suites of cli._SUITES
+    # functions are exactly the suites of settings._SUITES
     suites = {
         name
         for name, obj in vars(altrank.verify).items()
@@ -1106,7 +1108,7 @@ def test_suite_table_names_the_functions_of_verify():
         and not name.startswith("_")
         and getattr(obj, "__module__", None) == altrank.verify.__name__
     }
-    assert suites == set(altrank.cli._SUITES)
+    assert suites == set(altrank.settings._SUITES)
 
 
 def test_verify_fails_a_check_that_examined_nothing(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from altrank.cli import _COMMANDS, _GLOBAL_DEFAULTS, _SUITES, main
+from altrank.cli import main
+from altrank.settings import _COMMANDS, _GLOBAL_DEFAULTS, _SUITES
 
 # (valid values, out-of-range values) per command and key; every key of a
 # command is listed, so a new key must be given small values here
@@ -37,7 +38,8 @@ _VALUES = {
         "chunk": (["1", "2", "1e3"], ["0", "-1"]),
     },
     "sha-dist": {
-        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5", "101", "300"]),
+        # the draw budget refuses 300 at r = 0 and 301 at r = 1
+        "n": (["0", "1", "2", "3", "4"], ["-1", "-2", "5", "101", "300", "301"]),
         "x": (["1", "2", "5"], ["0", "-1"]),
         "r": (["0", "1"], ["-1", "2"]),
         "p": (["2", "3", "7"], ["0", "1", "4", "-3", "3317044064679887385961981"]),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -10,15 +11,15 @@ from altrank.groups import (
     UnsupportedSizeError,
     alternating_square_cyclic_density,
     aut_order,
-    aut_order_brute,
     cl_measure,
     delaunay_measure,
+    finite_cl_law,
     group_label,
     partitions_up_to,
     symplectic_aut_order,
-    symplectic_aut_order_brute,
     symplectic_support,
 )
+from altrank.linalg import diag_valuations_mod
 
 mp.dps = 30
 
@@ -31,6 +32,150 @@ def mp_phi(p, start=1):
 def mp_delaunay_tailprod(p, r):
     # prod_{i >= r+1} (1 - p^(1-2i))
     return float(nprod(lambda i: 1 - power(p, 1 - 2 * i), [r + 1, mp.inf]))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for the closed-form automorphism counts
+
+
+def aut_order_brute(g: AbelianPGroup) -> int:
+    """Count automorphisms by enumerating every endomorphism matrix.
+
+    The (i, j) entry of an endomorphism lives in Hom(Z/p^e_j, Z/p^e_i),
+    a cyclic group of order p^min(e_i, e_j); the map is invertible iff
+    its reduction mod p is invertible (Nakayama plus finiteness), that
+    is, when linalg's local Smith kernel mod p finds no zero diagonal.
+    Only feasible for tiny groups; raises UnsupportedSizeError beyond
+    2**20 candidate matrices.
+    """
+    cap = 1 << 20
+    ex = g.exponents
+    m = len(ex)
+    if m == 0:
+        return 1
+    p = g.p
+    total = 1
+    ranges = []
+    for i in range(m):
+        for j in range(m):
+            ranges.append(p ** min(ex[i], ex[j]))
+            total *= ranges[-1]
+    if total > cap:
+        raise UnsupportedSizeError(
+            f"{total} endomorphism matrices exceed brute-force cap {cap}"
+        )
+    count = 0
+    for flat in itertools.product(*[range(k) for k in ranges]):
+        # mod-p reduction: entries where e_i > e_j carry a forced factor
+        # of p^(e_i - e_j), so they reduce to 0
+        red = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                v = flat[i * m + j]
+                row.append(v % p if ex[i] <= ex[j] else 0)
+            red.append(row)
+        if None not in diag_valuations_mod(red, m, p, 1):
+            count += 1
+    return count
+
+
+def symplectic_aut_order_brute(s: SymplecticPGroup) -> int:
+    """Backtracking count of pairing-preserving automorphisms.
+
+    A pairing-preserving endomorphism is injective (nondegeneracy) and
+    hence bijective, so it suffices to count homomorphisms that preserve
+    the pairing on generators.  Generators are ordered in hyperbolic
+    pairs; the search prunes on every pairing constraint against the
+    images already fixed.
+    """
+    cap = 3**8
+    lam = s.base.exponents
+    p = s.p
+    order = s.order
+    if order > cap:
+        raise UnsupportedSizeError(f"group order {order} exceeds brute-force cap {cap}")
+    if not lam:
+        return 1
+    mu = [e for e in lam for _ in range(2)]  # generator order exponents
+    m2 = len(mu)
+    lam_max = lam[0]
+    q = p**lam_max
+    mods = [p**e for e in mu]
+    weights = [p ** (lam_max - e) for e in lam]
+
+    elements = list(itertools.product(*[range(md) for md in mods]))
+    nelem = len(elements)
+
+    def ord_exp(c) -> int:
+        o = 0
+        for s_, v in enumerate(c):
+            if v:
+                e = mu[s_]
+                w = 0
+                while v % p == 0 and w < e:
+                    v //= p
+                    w += 1
+                if e - w > o:
+                    o = e - w
+        return o
+
+    def pair(c, d) -> int:
+        tot = 0
+        for t in range(len(lam)):
+            i0 = 2 * t
+            tot += weights[t] * (c[i0] * d[i0 + 1] - c[i0 + 1] * d[i0])
+        return tot % q
+
+    # pairing targets between generator j and earlier generator i
+    basis = [tuple(int(t == s_) for t in range(m2)) for s_ in range(m2)]
+    target = [[pair(basis[j], basis[i]) for i in range(j)] for j in range(m2)]
+
+    by_maxexp: dict = {}
+    orders = [ord_exp(c) for c in elements]
+    for e in set(mu):
+        by_maxexp[e] = [ix for ix in range(nelem) if orders[ix] <= e]
+
+    table = None
+    if nelem <= 1024:
+        table = [[pair(a, b) for b in elements] for a in elements]
+
+    count = 0
+    chosen: list = []
+
+    def rec(j: int):
+        nonlocal count
+        if j == m2:
+            count += 1
+            return
+        tj = target[j]
+        if table is not None:
+            for ix in by_maxexp[mu[j]]:
+                ti = table[ix]
+                ok = True
+                for u in range(j):
+                    if ti[chosen[u]] != tj[u]:
+                        ok = False
+                        break
+                if ok:
+                    chosen.append(ix)
+                    rec(j + 1)
+                    chosen.pop()
+        else:
+            for ix in by_maxexp[mu[j]]:
+                h = elements[ix]
+                ok = True
+                for u in range(j):
+                    if pair(h, elements[chosen[u]]) != tj[u]:
+                        ok = False
+                        break
+                if ok:
+                    chosen.append(ix)
+                    rec(j + 1)
+                    chosen.pop()
+
+    rec(0)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +332,18 @@ def test_cl_measure_against_oracle():
             m = cl_measure(g)
             want = phi / aut_order(g)
             assert abs(m.value - want) <= 1e-12 + m.tail_bound
+
+
+def test_finite_cl_law_tends_to_cl_measure():
+    # the finite-n law differs from the limit by a factor 1 - O(p^(r-n))
+    for p in (2, 3, 5):
+        for lam in partitions_up_to(3):
+            g = AbelianPGroup(p, lam)
+            m = cl_measure(g)
+            assert abs(float(finite_cl_law(g, 60)) - m.value) <= 1e-12 + m.tail_bound
+    # a 0 x 0 matrix has trivial cokernel; p-rank above n is never reached
+    assert finite_cl_law(AbelianPGroup(2, ()), 0) == 1
+    assert finite_cl_law(AbelianPGroup(3, (1, 1)), 1) == 0
 
 
 def test_cl_measure_trivial_known_value():

@@ -8,6 +8,7 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
+from altrank.groups import AbelianPGroup
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
@@ -19,7 +20,6 @@ from altrank.linalg import (
     _p_valuation,
     _rank_rows,
     cokernel,
-    cokernel_p_part,
     determinant,
     diag_valuations_mod,
     divisors_from_minors,
@@ -31,6 +31,7 @@ from altrank.linalg import (
     smith_normal_form,
 )
 from altrank.model import empirical_cl_distribution, empirical_sha_distribution
+from altrank.primes import is_prime
 
 
 def random_alternating(n, bound, rng):
@@ -376,6 +377,15 @@ def test_cokernel_known_small():
     assert c.free_rank == 0
     assert c.torsion == (2, 2)
     assert c.torsion_order == 4 == pfaffian(a) ** 2
+
+
+# sha-dist's exact p-part route, on one matrix
+def cokernel_p_part(a: AlternatingMatrix, p: int) -> AbelianPGroup:
+    """p-primary part of the cokernel torsion, as an exponent partition."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    exponents = _corank_p_exponents(a.n, a.upper, p, kernel_rank(a))
+    return AbelianPGroup.from_valuations(p, exponents)
 
 
 def test_cokernel_p_part_matches_exact_divisors():

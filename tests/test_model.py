@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import altrank.model
 from altrank.cli import main
-from altrank.groups import AbelianPGroup, aut_order, group_label, partitions_up_to
+from altrank.groups import AbelianPGroup, finite_cl_law, group_label, partitions_up_to
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
@@ -771,19 +771,6 @@ def test_cl_distribution_small_matches_gl_probability():
     assert dist.meta["refinement_rounds"] >= 0
 
 
-def finite_cl_law(p: int, n: int, exponents) -> Fraction:
-    # P(coker = G) for a Haar-uniform n x n matrix over Z_p (Friedman and
-    # Washington, 1989): #Aut(G)^-1 prod_{i=1..n} (1 - p^-i)
-    # prod_{i=n-r+1..n} (1 - p^-i), r the p-rank of G; 0 when r > n
-    r = len(exponents)
-    if r > n:
-        return Fraction(0)
-    law = Fraction(1, aut_order(AbelianPGroup(p, tuple(exponents))))
-    for i in [*range(1, n + 1), *range(n - r + 1, n + 1)]:
-        law *= 1 - Fraction(1, p**i)
-    return law
-
-
 @pytest.mark.parametrize("p, n, k", [(2, 2, 4), (2, 3, 2), (3, 2, 2)])
 def test_finite_cl_law_matches_exhaustive_census(p, n, k):
     # every matrix mod p**k; a group all of whose exponents are below k
@@ -798,7 +785,7 @@ def test_finite_cl_law_matches_exhaustive_census(p, n, k):
             census[exponents] = census.get(exponents, 0) + 1
     total = p ** (k * n * n)
     law = {
-        lam: finite_cl_law(p, n, lam)
+        lam: finite_cl_law(AbelianPGroup(p, lam), n)
         for lam in partitions_up_to(n * (k - 1))
         if len(lam) <= n and all(e < k for e in lam)
     }
@@ -813,7 +800,7 @@ def test_cl_distribution_matches_finite_n_law(n, p):
     dist = empirical_cl_distribution(n, p, 5, samples, Random(100 * n + p))
     for lam in partitions_up_to(4):
         count = dist.counts.get(group_label(AbelianPGroup(p, lam)), 0)
-        q = finite_cl_law(p, n, lam)
+        q = finite_cl_law(AbelianPGroup(p, lam), n)
         if q == 0:
             assert count == 0, lam
         else:

@@ -1,7 +1,8 @@
 """Start-up cost: a CLI run imports only the modules its command uses,
-needs no package outside the standard library, and a process pool
-starts no more workers than there are chunks, and none for a refused
-input."""
+`print-config`, `--help` and a refused setting load none of the sampling
+modules, a run needs no package outside the standard library, and a
+process pool starts no more workers than there are chunks, and none for
+a refused input."""
 
 import concurrent.futures
 import json
@@ -26,11 +27,11 @@ LatticeBasis MeasureValue ModelConfig ModelDraw ModelParams PeriodResult
 RankHistogram SmithDecomposition SurveyRecord SymplecticPGroup
 UnsupportedSizeError alternating_square_cyclic_density aut_order
 build_wedge_basis check_det_identity check_inner_product_identity cl_measure
-cokernel cokernel_p_part count_alternating_by_rank count_curves_exact
+cokernel count_alternating_by_rank count_curves_exact
 curve_height delaunay_measure determinant discriminant divisors_from_minors
 draw_model empirical_cl_distribution empirical_corank_prob
 empirical_sha_distribution empirical_square_cyclic_fraction exponent_fit
-factorize fit_counting_exponent gram_det group_label iroot is_prime
+factorize finite_cl_law fit_counting_exponent gram_det group_label iroot is_prime
 is_square_of_cyclic is_valid_curve kernel_rank model_params partitions_up_to
 period_bound_scan pfaffian predicted_table primes_up_to rank rank_survey
 real_period real_period_quadrature sample_alternating sample_curve_in_band
@@ -77,6 +78,100 @@ def test_cli_runs_load_no_unused_module(tmp_path):
     )
     assert "altrank.model" in run
     assert (run - bare) & HEAVY == set()
+    assert (tmp_path / "sha_dist.json").exists()
+
+
+def run_altrank(*argv):
+    """(exit code, stdout, stderr lines, altrank modules imported) of a
+    fresh `python -X importtime -m altrank argv`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "altrank", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    err, loaded = [], set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rpartition("|")[2].strip()
+            if name.partition(".")[0] == "altrank":
+                loaded.add(name)
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, err, loaded
+
+
+# what `python -m altrank` loads before a command's settings are resolved
+FRONT_END = {"altrank", "altrank.frozen", "altrank.parallel", "altrank.settings"}
+
+# the stdout of `print-config` without a config file
+PRINT_CONFIG = """\
+out = None
+seed = 12345
+threads = 1
+# cl-dist defaults: k=8 n=8 p=2 samples=100000
+# count defaults: bounds=5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20 n=3 norm=l2 r=2
+# period-scan defaults: h_max=10000000000 h_min=10000 samples=1000
+# predicted-table defaults: h_list=10000000000,100000000000,1000000000000,10000000000000,100000000000000,1000000000000000
+# sha-dist defaults: method=exact n=10 p=2 r=0 samples=10000 x=10000
+# simulate defaults: calibration_exponent=1/12 chunk=20000 curves_per_band=10000 eta_floor=2 eta_schedule=log3 h_grid=1000000,1000000000000,1000000000000000000 x_min=2
+# verify defaults: samples=1000 stride=211
+"""
+
+
+def test_print_config_loads_only_the_front_end():
+    code, out, err, loaded = run_altrank("print-config")
+    assert (code, err) == (0, [])
+    assert out == PRINT_CONFIG
+    assert loaded == FRONT_END
+
+
+# each exits before any command runs: argparse prints help and exits 0,
+# or refuses a flag; _resolve_settings refuses a setting
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["sha-dist", "--help"], 0),
+        (["sha-dist", "--method", "bogus"], 2),
+        (["sha-dist", "--n", "x"], 2),
+        (["simulate", "--threads", "0"], 2),
+        (["simulate", "--config", "{cfg}"], 2),
+    ],
+    ids=["help", "command-help", "bad-choice", "bad-integer", "bad-threads", "refused-config-key"],
+)
+def test_parse_time_exits_load_only_the_front_end(tmp_path, argv, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 3\n")  # a key of cl-dist, which simulate does not read
+    got, out, err, loaded = run_altrank(*(a.format(cfg=cfg) for a in argv))
+    assert got == code
+    if code == 0:
+        assert out.startswith("usage: altrank") and err == []
+    else:
+        assert out == "" and "error:" in err[-1]
+    assert loaded == FRONT_END
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_sampling_run_adds_only_the_front_end(tmp_path):
+    # past the front end, sha-dist loads the harness and what it samples with
+    code, _, err, loaded = run_altrank(
+        "sha-dist", "--samples", "1", "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, [])
+    assert loaded - FRONT_END == {
+        "altrank.cli",
+        "altrank.fitting",
+        "altrank.groups",
+        "altrank.linalg",
+        "altrank.model",
+        "altrank.primes",
+    }
     assert (tmp_path / "sha_dist.json").exists()
 
 
@@ -129,15 +224,15 @@ def test_square_cyclic_sampler_loads_no_census():
 
 
 def test_fractions_loads_decimal():
-    # cli and model read numbers through decimal at no start-up cost only
-    # because fractions, which both import, loads it; if it stops doing
+    # settings reads numbers through decimal at no start-up cost only
+    # because fractions, which it imports, loads it; if it stops doing
     # so, this fails rather than setup_s rising unnoticed
     assert "decimal" in child_modules("from fractions import Fraction")
 
 
 def test_groups_loads_no_linalg():
-    # linalg imports groups at its top, so groups reaches linalg's
-    # mod-p kernel only inside aut_order_brute
+    # the brute-force automorphism count, which runs linalg's mod-p
+    # kernel, is an oracle in tests/test_groups.py, not in groups
     assert "altrank.linalg" not in child_modules("import altrank.groups")
 
 
@@ -152,6 +247,7 @@ def test_every_exported_name_resolves_lazily():
         assert getattr(altrank, name) is not None
         assert name in dir(altrank)
     assert altrank.parallel.map_chunks is map_chunks
+    assert altrank.model.ModelConfig is altrank.ModelConfig
     with pytest.raises(AttributeError):
         altrank.no_such_name
 
