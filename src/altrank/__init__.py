@@ -27,7 +27,6 @@ _EXPORTS = {
         "AbelianPGroup",
         "MeasureValue",
         "SymplecticPGroup",
-        "UnsupportedSizeError",
         "alternating_square_cyclic_density",
         "aut_order",
         "cl_measure",

@@ -17,7 +17,6 @@ from .frozen import frozen
 from .primes import is_prime, primes_up_to
 
 __all__ = [
-    "UnsupportedSizeError",
     "AbelianPGroup",
     "SymplecticPGroup",
     "MeasureValue",
@@ -31,10 +30,6 @@ __all__ = [
     "partitions_up_to",
     "symplectic_support",
 ]
-
-
-class UnsupportedSizeError(ValueError):
-    """Brute-force enumeration refused: the group order exceeds the cap."""
 
 
 @frozen

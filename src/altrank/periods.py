@@ -36,58 +36,47 @@ def discriminant(a4: int, a6: int) -> int:
     return -16 * (4 * a4**3 + 27 * a6**2)
 
 
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+def _root_and_gap(a4, a6):
+    """(r, q, t) for x^3 + a4*x + a6: the real root r of largest |r|,
+    simple and of the sign of -a6; q = 3r^2 + a4 > 0, the product of r's
+    differences to the other two roots; and their squared gap t (< 0 for
+    a complex pair) from the exact int q^2 * t = -(4*a4^3 + 27*a6^2).
 
-
-def _polish(root: float, a4: float, a6: float) -> float:
-    for _ in range(4):
-        f = root * (root * root + a4) + a6
-        df = 3 * root * root + a4
-        if df == 0:
-            break
-        step = f / df
-        root -= step
-        if abs(step) <= 1e-15 * (abs(root) + 1):
-            break
-    return root
-
-
-def _real_roots(a4, a6):
-    """Real roots of x^3 + a4*x + a6, ascending; three or one of them.
-
-    Trig form when all roots are real (which forces a4 < 0), a
-    cancellation-free Cardano branch otherwise, then Newton polish.
+    |r| is the largest root of y^3 + a4*y - |a6|, by Newton as y <- (2y^3 +
+    |a6|) / (3y^2 + a4) from y0 = |a6|^(1/3) + sqrt(max(0, -a4)), where
+    that function is nonnegative, increasing and convex: the steps fall
+    monotonically, and the loop stops on a step of at most one ulp.
     """
     disc4 = 4 * a4**3 + 27 * a6**2
     if disc4 == 0:
         raise ValueError("singular cubic")
-    a4f, a6f = float(a4), float(a6)
-    if disc4 < 0:
-        m = 2 * math.sqrt(-a4f / 3)
-        c = 3 * a6f / (a4f * m)
-        phi = math.acos(min(1.0, max(-1.0, c)))
-        roots = sorted(
-            _polish(m * math.cos((phi - 2 * math.pi * k) / 3), a4f, a6f)
-            for k in range(3)
-        )
-        return roots
-    s = math.sqrt(a6f * a6f / 4 + a4f**3 / 27)
-    u3 = -a6f / 2 - s if a6f >= 0 else -a6f / 2 + s
-    u = _cbrt(u3)
-    root = u - a4f / (3 * u) if u else 0.0
-    return [_polish(root, a4f, a6f)]
+    a4f, c = float(a4), float(abs(a6))
+    y = c ** (1.0 / 3.0) + math.sqrt(max(0.0, -a4f))
+    if y > 1e100:
+        # past this 2y^3 may leave the float range; every band curve has y < 1e52
+        raise ValueError(f"curve ({a4}, {a6}) too large for double precision")
+    for _ in range(100):  # at most 8 steps on band curves
+        nxt = (2 * y * y * y + c) / (3 * y * y + a4f)
+        if y - nxt <= math.ulp(y):
+            break
+        y = nxt
+    q = 3 * y * y + a4f
+    # int true division rounds disc4 / 4 correctly and keeps it finite up
+    # to MAX_FLOAT_HEIGHT, where disc4 may not be; dividing by q twice
+    # never forms q * q, which overflows before y reaches 1e100
+    return (-y if a6 > 0 else y), q, -4 * (disc4 / 4 / q / q)
 
 
 def _agm(a: float, g: float) -> float:
     for _ in range(80):
-        if abs(a - g) <= 1e-16 * a:
+        # adjacent floats can only swap places; within one ulp is converged
+        if abs(a - g) <= math.ulp(a):
             break
         a, g = 0.5 * (a + g), math.sqrt(a * g)
     return 0.5 * (a + g)
 
 
-# double-precision AGM with polished roots carries a few tens of ulps
+# double-precision AGM on root gaps with a few ulps of error each
 _EST_RELATIVE_ERROR = 1e-13
 
 
@@ -98,19 +87,19 @@ def real_period(a4, a6) -> PeriodResult:
     total 2*pi / agm(sqrt(r3-r1), sqrt(r3-r2)).  One real root r: a
     single component of length pi / agm(sqrt(w), s/2) where
     w = sqrt(3r^2 + a4) and s^2 = 3r + 2w; s/2 is evaluated through its
-    conjugate form when r < 0 to dodge cancellation.
+    conjugate form when r < 0.  No gap is a difference of close floats.
     """
-    roots = _real_roots(a4, a6)
-    if len(roots) == 3:
-        r1, r2, r3 = roots
-        omega = 2 * math.pi / _agm(math.sqrt(r3 - r1), math.sqrt(r3 - r2))
+    r, q, t = _root_and_gap(a4, a6)
+    if t > 0:
+        d1, d2, _width = _three_root_gaps(r, q, t)
+        omega = 2 * math.pi / _agm(math.sqrt(d1), math.sqrt(d2))
         components = 2
     else:
-        r = roots[0]
-        w = math.sqrt(3 * r * r + float(a4))
+        w = math.sqrt(q)
         if r < 0:
-            # (w + 1.5r)/2 cancels badly for negative r; use the conjugate form
-            half_sq = (0.75 * r * r + float(a4)) / (2 * (w - 1.5 * r))
+            # (w + 1.5r)/2 cancels for negative r; its conjugate form has
+            # numerator 0.75r^2 + a4 = -t/4
+            half_sq = -t / (8 * (w - 1.5 * r))
         else:
             half_sq = (w + 1.5 * r) / 2
         omega = math.pi / _agm(math.sqrt(w), math.sqrt(half_sq))
@@ -119,6 +108,16 @@ def real_period(a4, a6) -> PeriodResult:
     if not (omega > 0 and math.isfinite(omega)) or est >= 1e-9:
         raise ValueError("period iteration failed to reach tolerance")
     return PeriodResult(omega, est, components)
+
+
+def _three_root_gaps(r, q, t):
+    """(r3 - r1, r3 - r2, r2 - r1) from _root_and_gap's (r, q, t > 0)."""
+    # the other two roots have midpoint -r/2 and gap sqrt(t), so r3 - r1
+    # is 1.5|r| + sqrt(t)/2 whichever end r is; r's other gap is q over it
+    gap = math.sqrt(t)
+    far = 1.5 * abs(r) + gap / 2
+    near = q / far
+    return (far, near, gap) if r > 0 else (far, gap, near)
 
 
 # QUADPACK's qk15 rule: the positive 15-point Kronrod nodes on [-1, 1]
@@ -184,33 +183,38 @@ def _integral_to_inf(g, scale: float) -> float:
 def real_period_quadrature(a4, a6) -> float:
     """Independent evaluation of the same integral by adaptive quadrature.
 
-    Substitutions remove every endpoint singularity: x = top_root + t^2
-    for the unbounded piece, a sine parametrization between the two
-    lower roots for the bounded oval.  Then t in [0, inf) maps to s in
-    [0, 1) by t = L*s/(1 - s), with L = sqrt(r3 - r1) for three roots
-    and q0^(1/4) for one, so the mass stays near s = 1/2 at any height.
-    The rule is G7-K15, bisected until the summed |K15 - G7|, which
-    bounds the G7 error, is at most 1e-13 of the value; the K15 value
-    returned is far more accurate.  Slower than the AGM route; meant for
-    cross-checks.
+    Substitutions remove every endpoint singularity and put each peak of
+    a near-singular curve at an endpoint, where floats resolve it:
+    x = top_root + tau^2 for the unbounded piece, split at the peak for one
+    root; x = r2 - (r2 - r1)*sin(phi)^2 for the oval.  Then [0, inf) maps
+    to s in [0, 1) by u = L*s/(1 - s), with L = sqrt(r3 - r1) for three
+    roots and (3r^2 + a4)^(1/4) for one, so the mass stays near s = 1/2.  The rule is G7-K15, bisected until the summed
+    |K15 - G7|, which bounds the G7 error, is at most 1e-13 of the value;
+    the K15 value returned is far more accurate.  A peak too narrow for
+    the rule raises a ValueError naming the curve.  Meant for cross-checks.
     """
-    roots = _real_roots(a4, a6)
-    if len(roots) == 3:
-        r1, r2, r3 = roots
-        d1, d2 = r3 - r1, r3 - r2
-        unbounded = 2 * _integral_to_inf(
-            lambda t: ((t * t + d1) * (t * t + d2)) ** -0.5, math.sqrt(d1)
+    r, q, t = _root_and_gap(a4, a6)
+    try:
+        if t > 0:
+            d1, d2, width = _three_root_gaps(r, q, t)
+            unbounded = 2 * _integral_to_inf(
+                lambda u: ((u * u + d1) * (u * u + d2)) ** -0.5, math.sqrt(d1)
+            )
+            # r3 - x = d2 + width*sin(phi)^2 on the oval
+            oval = 2 * _gauss_kronrod(
+                lambda ph: (d2 + width * math.sin(ph) ** 2) ** -0.5, 0.0, math.pi / 2
+            )
+            return unbounded + oval
+        # the quartic (tau^2 + 1.5r)^2 - t/4 in u = |tau - t0| on each side
+        # of its peak t0 = sqrt(max(0, -1.5r)); the left side is empty when r >= 0
+        t0, lift = math.sqrt(max(0.0, -1.5 * r)), max(0.0, 1.5 * r)
+        left = _gauss_kronrod(lambda u: ((u * (2 * t0 - u)) ** 2 - t / 4) ** -0.5, 0.0, t0)
+        right = _integral_to_inf(
+            lambda u: ((u * (2 * t0 + u) + lift) ** 2 - t / 4) ** -0.5, q**0.25
         )
-        c, h = (r1 + r2) / 2, (r2 - r1) / 2
-        oval = _gauss_kronrod(
-            lambda th: (r3 - c - h * math.sin(th)) ** -0.5, -math.pi / 2, math.pi / 2
-        )
-        return unbounded + oval
-    r = roots[0]
-    q0 = 3 * r * r + float(a4)
-    return 2 * _integral_to_inf(
-        lambda t: (t**4 + 3 * r * t * t + q0) ** -0.5, q0**0.25
-    )
+        return 2 * (left + right)
+    except ValueError as exc:
+        raise ValueError(f"{exc} on the curve (a4, a6) = ({a4}, {a6})") from None
 
 
 def _stats(values) -> dict:

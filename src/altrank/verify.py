@@ -3,7 +3,7 @@ independent oracles.
 
 Each suite is a function named after it (`lattice`, `snf`, `table`,
 `period`) that takes the resolved settings and returns a list of check
-dicts with "name", "passed" and "detail".  `cli._SUITES` says which
+dicts with "name", "passed" and "detail".  `settings._SUITES` says which
 settings each suite reads and which claim its manifest records;
 `cli.cmd_verify` imports this module only when it runs, so no other
 command pays for compiling it.

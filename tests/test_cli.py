@@ -1051,8 +1051,8 @@ GOLDEN_RUNS = {
     "period-scan": (
         ["--h-min", "1e4", "--h-max", "1e8", "--samples", "100", "--seed", "11"],
         {
-            "period_scan.csv": "3b98c15e9536802bfac40e44f6b0a8142ede3d8d15badfbddcd9881529e23cdb",
-            "period_scan_summary.json": "61bda8eb15e0f75996f247e0ad83d9c96d73ce0cecdaf8b34a33e440ae3ee828",
+            "period_scan.csv": "17e666d423ec7cf551006d2fee3c6c2ae2dc1879ffb1de831479d72b89daf6f4",
+            "period_scan_summary.json": "a61f5b9243b7c457fcb58903d8182130914cfc00ee8f76b36666d411ea71f7ef",
         },
     ),
     "predicted-table": (

@@ -8,7 +8,6 @@ from altrank.groups import (
     AbelianPGroup,
     MeasureValue,
     SymplecticPGroup,
-    UnsupportedSizeError,
     alternating_square_cyclic_density,
     aut_order,
     cl_measure,
@@ -36,6 +35,10 @@ def mp_delaunay_tailprod(p, r):
 
 # ---------------------------------------------------------------------------
 # brute-force oracles for the closed-form automorphism counts
+
+
+class UnsupportedSizeError(ValueError):
+    """Brute-force enumeration refused: the group order exceeds the cap."""
 
 
 def aut_order_brute(g: AbelianPGroup) -> int:

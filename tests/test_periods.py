@@ -4,9 +4,11 @@ from random import Random
 import mpmath
 import pytest
 
+from altrank import periods
 from altrank.model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, _band_nonempty, sample_curve_in_band
 from altrank.periods import (
     _EST_RELATIVE_ERROR,
+    _agm,
     _gauss_kronrod,
     discriminant,
     period_bound_scan,
@@ -51,11 +53,20 @@ def mp_period_carlson(a4, a6):
     the one-root branch is 2*R_F(0, r - z, r - conj(z)).  Carlson's R_F
     is computed by the duplication theorem, not by an AGM, and takes a
     few ms, where mp_period's tanh-sinh takes about 0.1 s a curve.
+
+    Its precision grows with the coefficients.  The discriminant is a
+    nonzero int, so two roots lie at least about 2^(-bits/2) apart
+    relative to their size, where bits is the bit length of
+    |a4|^3 + a6^2: 40 digits beyond that gap are kept, and polyroots gets
+    as many extra bits, and steps, as it needs to separate such a pair.
     """
-    with mpmath.workdps(40):
+    bits = (abs(a4) ** 3 + a6 * a6).bit_length()
+    with mpmath.workdps(40 + bits * 3 // 20):
         u = max(abs(mpmath.mpf(a4)) ** 0.25, abs(mpmath.mpf(a6)) ** (mpmath.mpf(1) / 6))
         roots = sorted(
-            mpmath.polyroots([1, 0, a4 / u**4, a6 / u**6]),
+            mpmath.polyroots(
+                [1, 0, a4 / u**4, a6 / u**6], maxsteps=50 + bits, extraprec=10 + bits // 2
+            ),
             key=lambda z: (abs(z.imag), z.real),
         )
         if discriminant(a4, a6) > 0:
@@ -149,6 +160,84 @@ def test_routes_agree_in_every_band(cap):
         assert abs(agm - oracle) <= _EST_RELATIVE_ERROR * oracle, curve
 
 
+# e away from the singular (x - k)^2 (x + 2k) = x^3 - 3k^2 x + 2k^3, and
+# its mirror image: the two roots near k are about sqrt(e/3k) apart (a
+# complex pair when e > 0), so their gap is the difference of two close
+# floats for any route that finds all three roots in double precision
+NEAR_SINGULAR = [
+    (-3 * k * k, sign * (2 * k**3 + e))
+    for k in [10**j for j in (2, 4, 6, 8, 10, 20, 30, 40, 50, 60, 70)]
+    for e in (1, -1, 7, -7)
+    for sign in (1, -1)
+]
+
+
+def test_routes_stay_right_near_singular_curves():
+    # tolerances fixed before any run: the AGM within its own est_error,
+    # the quadrature within 1e-12 relative or a ValueError that names the
+    # curve; the oracle's precision grows with the height
+    refused = []
+    for a4, a6 in NEAR_SINGULAR:
+        oracle = mp_period_carlson(a4, a6)
+        agm = real_period(a4, a6)
+        assert abs(agm.omega - oracle) <= agm.est_error, (a4, a6)
+        try:
+            quad = real_period_quadrature(a4, a6)
+        except ValueError as exc:
+            assert f"({a4}, {a6})" in str(exc)
+            refused.append((a4, a6))
+            continue
+        assert abs(quad - oracle) <= 1e-12 * oracle, (a4, a6)
+    # only the one-root peak between the real root and infinity can be too
+    # narrow for 500 G7-K15 pieces
+    assert all(discriminant(a4, a6) < 0 and a6 > 0 for a4, a6 in refused), refused
+
+
+class _CountingMath:
+    """math with a count of ulp calls: one per step of either loop."""
+
+    def __init__(self):
+        self.ulps = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def ulp(self, v):
+        self.ulps += 1
+        return math.ulp(v)
+
+
+def test_agm_stops_within_one_ulp(monkeypatch):
+    counting = _CountingMath()
+    monkeypatch.setattr(periods, "math", counting)
+    a = 1.5
+    g = math.nextafter(a, 0.0)
+    assert _agm(a, g) in (a, g)
+    assert counting.ulps == 1
+    counting.ulps = 0
+    assert _agm(1.0, 1e-10) == pytest.approx(float(mpmath.agm(1, 1e-10)), rel=1e-15)
+    assert counting.ulps <= 10
+
+
+def test_newton_and_agm_stop_well_before_their_caps(monkeypatch):
+    # a stop rule of step > 1e-16*y cycles forever on (53, -119); each
+    # real_period runs one Newton loop and one AGM, about 6 and 4 steps
+    counting = _CountingMath()
+    monkeypatch.setattr(periods, "math", counting)
+    curves = [(53, -119), *NEAR_SINGULAR]
+    rng = Random(57)
+    for cap in BAND_CAPS:
+        for _ in range(50):
+            curve = sample_curve_in_band(cap, rng)
+            curves.append((curve.a4, curve.a6))
+    worst = 0
+    for a4, a6 in curves:
+        counting.ulps = 0
+        real_period(a4, a6)
+        worst = max(worst, counting.ulps)
+    assert worst <= 20
+
+
 def test_quadrature_fails_loudly_where_it_cannot_converge():
     # a cross-check that stops short must raise, not return its last sum
     assert _gauss_kronrod(math.cos, 0.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
@@ -195,6 +284,13 @@ def test_singular_curves_rejected():
     for a4, a6 in [(0, 0), (-3, 2), (-48, 128), (-27, 54)]:
         with pytest.raises(ValueError):
             real_period(a4, a6)
+
+
+def test_curves_past_double_precision_refused():
+    # k = 1e100 of the near-singular family: |a6|^(1/3) + sqrt(-a4) is
+    # 2.7e100, and past 1e100 the Newton loop's 2y^3 nears the float limit
+    with pytest.raises(ValueError, match="too large for double precision"):
+        real_period(-3 * 10**200, 2 * 10**300 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ AbelianPGroup AlternatingMatrix CapExceededError CokernelStructure CountFit
 CurveParams EmpiricalDistribution Estimate FitResult IntegerMatrix
 LatticeBasis MeasureValue ModelConfig ModelDraw ModelParams PeriodResult
 RankHistogram SmithDecomposition SurveyRecord SymplecticPGroup
-UnsupportedSizeError alternating_square_cyclic_density aut_order
+alternating_square_cyclic_density aut_order
 build_wedge_basis check_det_identity check_inner_product_identity cl_measure
 cokernel count_alternating_by_rank count_curves_exact
 curve_height delaunay_measure determinant discriminant divisors_from_minors
