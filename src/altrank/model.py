@@ -105,7 +105,7 @@ def is_valid_curve(a4: int, a6: int) -> bool:
     factor that passes too.  Trial division stops at MAX_TRIAL_DIVISOR:
     a hit answers False, and a root above it with no hit raises
     ValueError, since settling that is as hard as testing g for a
-    4th (6th) power factor.  A box draw of the curve sampler meets such
+    4th (6th) power factor.  A draw of the curve sampler meets such
     a g with probability below 1e-23: it needs g > 10**24, or a4 = 0
     and |a6| > 10**36.
     """
@@ -191,16 +191,21 @@ def _small_band_nonempty(height_cap: int) -> bool:
 
 def _curve_stream(height_cap: int, rng: Random):
     """Endless (a4, a6, height) of independent uniform valid curves with
-    height in (height_cap/2, height_cap], by rejection from the
-    coefficient box.  The band is checked at the first curve.
+    height in (height_cap/2, height_cap], by one uniform index over the
+    band's cells per attempt.  The band is checked at the first curve.
 
-    The band condition 2*height > height_cap is tested on the raw draws:
-    it fails exactly when |a4| <= a_lo = iroot(height_cap // 8, 3) and
-    |a6| <= b_lo = isqrt(height_cap // 54), since 8*|a4|**3 > height_cap
-    iff |a4|**3 > height_cap // 8, and 54*a6**2 > height_cap iff
-    a6**2 > height_cap // 54.  So a draw is dropped when r4 = a4 + a_max
-    lies in [a_max - a_lo, a_max + a_lo] and r6 = a6 + b_max in
-    [b_max - b_lo, b_max + b_lo].  A draw in the band forms 4*a4**3 and
+    The band is the coefficient box without its inner box |a4| <= a_lo,
+    |a6| <= b_lo, where a_lo = iroot(height_cap // 8, 3) and b_lo =
+    isqrt(height_cap // 54): 8*|a4|**3 > height_cap iff |a4|**3 >
+    height_cap // 8, and 54*a6**2 > height_cap iff a6**2 > height_cap //
+    54.  So it is two rectangles, A (|a4| > a_lo, any a6) and B
+    (|a4| <= a_lo, |a6| > b_lo).  Each attempt draws one index r over A
+    then B, as rng.randrange(|A| + |B|) would, by the getrandbits
+    rejection loop of _uniform_list, and decodes it by one divmod: in A
+    into a4's rank among the values outside [-a_lo, a_lo] and a6 + b_max,
+    in B into a4 + a_lo and a6's rank among the values outside
+    [-b_lo, b_lo].  Each band cell has one index, so a kept curve is
+    uniform over the valid band curves.  A cell forms 4*a4**3 and
     27*a6**2 once, for the discriminant, for is_valid_curve's own early
     accept at gcd(a4, a6) < 16 and for the height; is_valid_curve runs
     only at gcd >= 16, where it may trial-divide.
@@ -213,24 +218,27 @@ def _curve_stream(height_cap: int, rng: Random):
         )
     a_max, b_max = _coefficient_box(height_cap)
     a_lo, b_lo = iroot(height_cap // 8, 3), math.isqrt(height_cap // 54)
-    lo4, hi4 = a_max - a_lo, a_max + a_lo
-    lo6, hi6 = b_max - b_lo, b_max + b_lo
-    # rng.randint(-m, m) is -m + rng.randrange(2*m + 1): getrandbits of
-    # the span's bit length, redrawn while at least the span; a4 is drawn
-    # before a6, as two randint calls would
-    span4, span6 = 2 * a_max + 1, 2 * b_max + 1
-    k4, k6 = span4.bit_length(), span6.bit_length()
+    # m4 (m6) values of a4 (a6) lie below the inner interval; a rank past
+    # them skips its 2*a_lo + 1 (2*b_lo + 1) values
+    m4, m6 = a_max - a_lo, b_max - b_lo
+    skip4, skip6 = a_max - 2 * a_lo - 1, b_max - 2 * b_lo - 1
+    span6, outer6 = 2 * b_max + 1, 2 * m6
+    size_a = 2 * m4 * span6
+    total = size_a + (2 * a_lo + 1) * outer6
+    k = total.bit_length()
     getrandbits, gcd = rng.getrandbits, math.gcd
     while True:
-        r4 = getrandbits(k4)
-        while r4 >= span4:
-            r4 = getrandbits(k4)
-        r6 = getrandbits(k6)
-        while r6 >= span6:
-            r6 = getrandbits(k6)
-        if lo4 <= r4 <= hi4 and lo6 <= r6 <= hi6:
-            continue
-        a4, a6 = r4 - a_max, r6 - b_max
+        r = getrandbits(k)
+        while r >= total:
+            r = getrandbits(k)
+        if r < size_a:
+            a4, a6 = divmod(r, span6)
+            a4 = a4 - a_max if a4 < m4 else a4 - skip4
+            a6 -= b_max
+        else:
+            a4, a6 = divmod(r - size_a, outer6)
+            a4 -= a_lo
+            a6 = a6 - b_max if a6 < m6 else a6 - skip6
         c4, c6 = 4 * a4 * a4 * a4, 27 * a6 * a6
         if c4 + c6 and (gcd(a4, a6) < 16 or is_valid_curve(a4, a6)):
             yield a4, a6, c6 if -c6 <= c4 <= c6 else c4 if c4 > 0 else -c4
@@ -283,8 +291,7 @@ def model_params(height: int, cfg: ModelConfig, rng: Random) -> ModelParams:
     if height < MIN_HEIGHT:
         raise ValueError(f"height must be at least {MIN_HEIGHT}")
     eta = schedule_eta(height, cfg)
-    bit = _uniform_list(rng.getrandbits, 2, 1)[0]
-    return ModelParams(eta, eta + bit, schedule_x(height, eta, cfg))
+    return ModelParams(eta, eta + rng.getrandbits(1), schedule_x(height, eta, cfg))
 
 
 def _schedule_interval(height: int, cfg: ModelConfig):
@@ -672,11 +679,10 @@ def _survey_chunk(spec):
     Each sampled curve contributes one model draw at its own height,
     the same draws as model_params and sample_alternating make; (eta, x)
     is reused while the height stays in its schedule interval.  The size
-    bit is rng.randrange(2) by the rejection loop of _uniform_list
-    written out, and the entries are drawn by _uniform_list, called
-    directly rather than through _alternating_upper, so no wrapper is
-    called per curve.  Module level so process pools can
-    pickle it.
+    bit is one getrandbits(1), as in model_params, and the entries are
+    drawn by _uniform_list, called directly rather than through
+    _alternating_upper, so no wrapper is called per curve.  Module level
+    so process pools can pickle it.
     """
     height_cap, _, size, seed, cfg = spec
     rng = Random(seed)
@@ -687,10 +693,7 @@ def _survey_chunk(spec):
         if not lo <= h <= hi:
             lo, hi, eta, x = _schedule_interval(h, cfg)
             span = 2 * x + 1
-        bit = getrandbits(2)
-        while bit >= 2:
-            bit = getrandbits(2)
-        n = eta + bit
+        n = eta + getrandbits(1)
         upper = _uniform_list(getrandbits, span, n * (n - 1) // 2, -x)
         corank = n - _alternating_rank(n, upper)
         hist[corank if corank < MAX_SURVEY_RANK else MAX_SURVEY_RANK] += 1

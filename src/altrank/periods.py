@@ -36,6 +36,11 @@ def discriminant(a4: int, a6: int) -> int:
     return -16 * (4 * a4**3 + 27 * a6**2)
 
 
+# Within these -a4, |a6| and |disc4| give y0 <= 2e100, where 2y^3 is a
+# float, and a float disc4 / 4; every band curve has y0 < 1e52
+_A4_BOUND, _A6_BOUND, _DISC4_BOUND = 10**200, 10**300, 4 * MAX_FLOAT_HEIGHT
+
+
 def _root_and_gap(a4, a6):
     """(r, q, t) for x^3 + a4*x + a6: the real root r of largest |r|,
     simple and of the sign of -a6; q = 3r^2 + a4 > 0, the product of r's
@@ -50,11 +55,11 @@ def _root_and_gap(a4, a6):
     disc4 = 4 * a4**3 + 27 * a6**2
     if disc4 == 0:
         raise ValueError("singular cubic")
+    # in ints, before any float is formed
+    if a4 < -_A4_BOUND or abs(a6) > _A6_BOUND or abs(disc4) > _DISC4_BOUND:
+        raise ValueError(f"curve ({a4}, {a6}) too large for double precision")
     a4f, c = float(a4), float(abs(a6))
     y = c ** (1.0 / 3.0) + math.sqrt(max(0.0, -a4f))
-    if y > 1e100:
-        # past this 2y^3 may leave the float range; every band curve has y < 1e52
-        raise ValueError(f"curve ({a4}, {a6}) too large for double precision")
     for _ in range(100):  # at most 8 steps on band curves
         nxt = (2 * y * y * y + c) / (3 * y * y + a4f)
         if y - nxt <= math.ulp(y):
@@ -63,7 +68,7 @@ def _root_and_gap(a4, a6):
     q = 3 * y * y + a4f
     # int true division rounds disc4 / 4 correctly and keeps it finite up
     # to MAX_FLOAT_HEIGHT, where disc4 may not be; dividing by q twice
-    # never forms q * q, which overflows before y reaches 1e100
+    # never forms q * q, which may overflow at y near 1e100
     return (-y if a6 > 0 else y), q, -4 * (disc4 / 4 / q / q)
 
 

@@ -315,7 +315,10 @@ def cmd_print_config(settings) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given the name of a command, it holds that
+    command's subparser only, which parses the command's argv as the
+    full parser does; any other name, or none, gives the full parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value settings file")
     common.add_argument("--seed", help="master seed (64-bit)")
@@ -327,27 +330,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="altrank",
         description="alternating-matrix rank and Sha simulation laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=command.help)
+    names = [*_COMMANDS, "print-config"]
+    one = command in names
+    # one subparser keeps the full parser's usage line, which lists every command
+    metavar = "{" + ",".join(names) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if one else names:
+        if name == "print-config":
+            sub.add_parser(name, parents=[common], help="show effective settings")
+            continue
+        cmd = _COMMANDS[name]
+        sp = sub.add_parser(name, parents=[common], help=cmd.help)
         if name == "verify":
             sp.add_argument("suite", choices=sorted(_SUITES))
-        for key in command.defaults:
+        for key in cmd.defaults:
             sp.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
                 choices=_CHOICES.get(key),
                 help=_FLAG_HELP.get((name, key)),
             )
-    sub.add_parser(
-        "print-config", parents=[common], help="show effective settings"
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the subparser of the command argv names is built
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         settings = _resolve_settings(args)
     except (ValueError, OSError) as exc:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +297,28 @@ def test_parser_surface_is_pinned():
     assert got == {name: _COMMON_FLAGS + flags for name, flags in PARSER_SURFACE.items()}
 
 
+# argv that the parser refuses or answers with help, each printed by one
+# subparser (or the full parser) as the full parser prints it
+PARSE_EXITS = [
+    ["--help"],
+    ["sha-dist", "--help"],
+    ["sha-dist", "--bogus", "1"],
+    ["sha-dist", "--method", "foo"],
+    ["bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_one_subparser_prints_as_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        altrank.settings._build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as ours:
+        main(argv)
+    assert ours.value.code == full.value.code
+    assert capsys.readouterr() == want
+
+
 # (arguments, first output, claim); the manifest is named after the first
 # output, and a CSV's header is recorded as csv_columns
 MANIFEST_CASES = [
@@ -354,6 +377,13 @@ def test_every_command_writes_its_manifest(tmp_path, capsys, args, first, claim)
         assert manifest["csv_columns"] == header.split(",")
     else:
         assert "csv_columns" not in manifest
+
+
+def test_one_subparser_parses_as_the_full_parser():
+    # main builds only the subparser of the command argv names
+    for args, _, _ in MANIFEST_CASES + [(["print-config"], None, None)]:
+        one = altrank.settings._build_parser(args[0]).parse_args(args)
+        assert one == altrank.settings._build_parser().parse_args(args), args
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +503,24 @@ def test_huge_heights_in_float_range_run(tmp_path, args):
 
 
 def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
-    # Force the first box draw to a4 = 0, a6 = b_max = isqrt(1e80 // 27),
-    # whose 6th root is past MAX_TRIAL_DIVISOR with no 6th-power factor
-    # below it: the validity test refuses the curve and the run exits 2.
-    a_max, b_max = altrank.model._coefficient_box(10**80)
+    # Force the first band index to the cell a4 = 0, a6 = b_max =
+    # isqrt(1e80 // 27), whose 6th root is past MAX_TRIAL_DIVISOR with no
+    # 6th-power factor below it: the validity test refuses the curve and
+    # the run exits 2.
+    cap = 10**80
+    a_max, b_max = altrank.model._coefficient_box(cap)
+    a_lo, b_lo = altrank.model.iroot(cap // 8, 3), math.isqrt(cap // 54)
+    # the |a4| > a_lo rectangle comes first; then, by a4, the 2*(b_max - b_lo)
+    # values of a6 with |a6| > b_lo, and (0, b_max) ends the a4 = 0 row
+    size_a = 2 * (a_max - a_lo) * (2 * b_max + 1)
+    total = size_a + (2 * a_lo + 1) * 2 * (b_max - b_lo)
+    index = size_a + (a_lo + 1) * 2 * (b_max - b_lo) - 1
     bits = []
 
     class FirstCurve(altrank.model.Random):
-        # r4 = a4 + a_max, then r6 = a6 + b_max
         def getrandbits(self, k):
             bits.append(k)
-            if len(bits) <= 2:
-                return (a_max, 2 * b_max)[len(bits) - 1]
-            return super().getrandbits(k)
+            return index if len(bits) == 1 else super().getrandbits(k)
 
     monkeypatch.setattr(altrank.model, "Random", FirstCurve)
     rc = main(["simulate", "--h-grid", "1e80,1e81,1e82", "--out", str(tmp_path)])
@@ -493,7 +528,7 @@ def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "MAX_TRIAL_DIVISOR" in err
-    assert bits == [(2 * a_max + 1).bit_length(), (2 * b_max + 1).bit_length()]
+    assert bits == [total.bit_length()]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1031,7 +1066,7 @@ def test_byte_identical_across_threads(tmp_path, command):
 GOLDEN_RUNS = {
     "simulate": (
         ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--chunk", "100", "--seed", "11"],
-        {"survey.csv": "6f7cb75919256238edf5d0e65fa5c03cffb31016807468b5286dfeb5a722a617"},
+        {"survey.csv": "e6d51ff014ead9f23a285b3493f5949668d4befc47d464669fc20c9af3492f64"},
     ),
     "sha-dist": (
         ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],
@@ -1051,8 +1086,8 @@ GOLDEN_RUNS = {
     "period-scan": (
         ["--h-min", "1e4", "--h-max", "1e8", "--samples", "100", "--seed", "11"],
         {
-            "period_scan.csv": "17e666d423ec7cf551006d2fee3c6c2ae2dc1879ffb1de831479d72b89daf6f4",
-            "period_scan_summary.json": "a61f5b9243b7c457fcb58903d8182130914cfc00ee8f76b36666d411ea71f7ef",
+            "period_scan.csv": "f42968d73463653c61b835a944196f0a7a4732cb719753c44ab0136a6aca110f",
+            "period_scan_summary.json": "92707139487f003027a138ef4c62196bafb358236b1ccf7387c5baa9030788a0",
         },
     ),
     "predicted-table": (

@@ -223,11 +223,11 @@ def test_curve_sequence_pinned():
     caps = (10**4, 10**6, 10**12, 10**24, 10**40)
     got = [(c.a4, c.a6) for c in (sample_curve_in_band(h, rng) for h in caps)]
     assert got == [
-        (12, 14),
-        (-59, 46),
-        (-2219, 147799),
-        (-56036427, -102681405638),
-        (12150527377787, 6730793169310134583),
+        (-3, -19),
+        (60, 93),
+        (260, -181172),
+        (-1236633, -137883479142),
+        (7470586025341, -16322956864924698270),
     ]
 
 
@@ -255,50 +255,78 @@ class _ScriptedBits:
         raise _ScriptEnd
 
 
-def test_band_test_on_raw_draws_is_exact():
-    # The curve stream drops a box draw (r4, r6) when r4 is within a_lo
-    # of a_max and r6 within b_lo of b_max, before any height is formed.
-    # Fed every cell of the box, it must yield exactly the valid curves
-    # with 2 * height > cap, at every cube and square boundary 8*a**3
-    # and 54*b**2 too.
+def _nth(ranges, i):
+    # the i-th value of the ranges laid end to end
+    for values in ranges:
+        if i < len(values):
+            return values[i]
+        i -= len(values)
+    raise IndexError(i)
+
+
+def _band_cells(cap):
+    """(total, cell): the number of coefficient-box cells with
+    2 * height > cap, and the r-th of them.  The cells are two
+    rectangles, each in (a4, a6) order: A has |a4| > a_lo and any a6, B
+    has |a4| <= a_lo and |a6| > b_lo."""
+    a_max, b_max = _coefficient_box(cap)
+    a_lo, b_lo = iroot(cap // 8, 3), math.isqrt(cap // 54)
+    rectangles = [
+        ((range(-a_max, -a_lo), range(a_lo + 1, a_max + 1)), (range(-b_max, b_max + 1),)),
+        ((range(-a_lo, a_lo + 1),), (range(-b_max, -b_lo), range(b_lo + 1, b_max + 1))),
+    ]
+    sizes = [(sum(map(len, rows)), sum(map(len, cols))) for rows, cols in rectangles]
+
+    def cell(r):
+        for (rows, cols), (n_rows, n_cols) in zip(rectangles, sizes):
+            if r < n_rows * n_cols:
+                return _nth(rows, r // n_cols), _nth(cols, r % n_cols)
+            r -= n_rows * n_cols
+        raise IndexError(r)
+
+    return sum(a * b for a, b in sizes), cell
+
+
+def test_band_index_is_a_bijection():
+    # The curve stream draws one index over the band's cells and decodes
+    # it.  Fed every index 0 ... total - 1 once, it must yield each valid
+    # curve with 2 * height > cap exactly once, at every cube and square
+    # boundary 8*a**3 and 54*b**2 too.
     for cap in BAND_TEST_CAPS:
         a_max, b_max = _coefficient_box(cap)
-        box = list(product(range(-a_max, a_max + 1), range(-b_max, b_max + 1)))
         want = [
             (a4, a6, curve_height(a4, a6))
-            for a4, a6 in box
+            for a4, a6 in product(range(-a_max, a_max + 1), range(-b_max, b_max + 1))
             if 2 * curve_height(a4, a6) > cap and is_valid_curve(a4, a6)
         ]
         if not want:  # an empty band is refused at the first curve
             with pytest.raises(ValueError, match="no valid curve"):
                 next(_curve_stream(cap, None))
             continue
-        # each cell is one box draw: r4 = a4 + a_max, then r6 = a6 + b_max
-        rng = _ScriptedBits(r for a4, a6 in box for r in (a4 + a_max, a6 + b_max))
+        total, _ = _band_cells(cap)
         got = []
         with pytest.raises(_ScriptEnd):
-            got.extend(_curve_stream(cap, rng))
-        assert got == want, cap
+            got.extend(_curve_stream(cap, _ScriptedBits(range(total))))
+        assert sorted(got) == want, cap
 
 
-def _randint_curves(cap, rng):
-    # the curve stream by its definition: randint box draws, kept when
-    # in the band and valid
-    a_max, b_max = _coefficient_box(cap)
+def _indexed_curves(cap, rng):
+    # the curve stream by its definition: one randrange over the band's
+    # cells per attempt, kept when the cell is a valid band curve
+    total, cell = _band_cells(cap)
     while True:
-        a4 = rng.randint(-a_max, a_max)
-        a6 = rng.randint(-b_max, b_max)
+        a4, a6 = cell(rng.randrange(total))
         h = curve_height(a4, a6)
         if 2 * h > cap and is_valid_curve(a4, a6):
             yield a4, a6, h
 
 
-def test_draws_interleave_like_calls():
-    # the stream's in-place box draws are randint calls, a4 before a6
+def test_stream_draws_one_randrange_per_attempt():
+    # the stream's in-place index draw is a randrange call
     for seed, cap in enumerate([10**4, 10**6, 10**12, 10**24]):
         ours, ref = Random(seed), Random(seed)
         got = list(islice(_curve_stream(cap, ours), 2000))
-        assert got == list(islice(_randint_curves(cap, ref), 2000)), cap
+        assert got == list(islice(_indexed_curves(cap, ref), 2000)), cap
         assert ours.getstate() == ref.getstate(), cap
 
 
@@ -339,8 +367,7 @@ def test_alternating_upper_is_randrange(x):
     + [2**64 + 3, 10**30],
 )
 def test_draws_are_randrange(span):
-    # single draws through _uniform_list, as model_params takes its size
-    # bit, are randrange calls
+    # single draws through _uniform_list are randrange calls
     ours, ref = Random(span), Random(span)
     got = [_uniform_list(ours.getrandbits, span, 1)[0] for _ in range(300)]
     assert got == [ref.randrange(span) for _ in range(300)]
@@ -469,6 +496,37 @@ def test_survey_chunk_matches_public_draws():
             for r in range(1, min(corank, 5) + 1):
                 want[r] += 1
         assert _survey_chunk((cap, 0, 600, seed, cfg)) == want
+
+
+# the criterion-6 bands whose sizes n = eta and eta + 1 are at most 4,
+# each inside one schedule interval
+LAW_BANDS = [10**k for k in (6, 9, 12, 15, 18, 21)]
+
+
+def test_survey_matches_its_finite_height_law():
+    # Inside one schedule interval a band's draw is n = eta or eta + 1
+    # with probability 1/2 each and entries uniform on [-x, x], so the
+    # count of draws with corank >= r is binomial in the curve count with
+    # p = (P_eta + P_eta+1) / 2, P_n = empirical_corank_prob(n, x, r),
+    # an exact census.  Sizes and the z bound are fixed before the run;
+    # an expected count below 10 is too skewed for a 5-sigma bound, so
+    # those cells (the zero matrix at n = 4) are left out.
+    curves, z_bound = 100_000, 5.0
+    laws = []
+    for h in LAW_BANDS:
+        lo, hi, eta, x = _schedule_interval(h, CFG)
+        assert lo <= h // 2 + 1 and h <= hi and eta + 1 <= 4, h
+        laws.append(
+            [(empirical_corank_prob(eta, x, r) + empirical_corank_prob(eta + 1, x, r)) / 2 for r in range(1, 6)]
+        )
+    records, _ = rank_survey(LAW_BANDS, curves, ModelConfig(seed=2028))
+    for rec in records:
+        p = laws[LAW_BANDS.index(rec.h_hi)][rec.r - 1]
+        if p in (0, 1):
+            assert rec.hits == p * curves, rec
+        elif curves * p >= 10:
+            z = (rec.hits - curves * p) / math.sqrt(curves * p * (1 - p))
+            assert abs(z) <= z_bound, (rec, float(p), z)
 
 
 def test_model_config_validation():
@@ -941,26 +999,26 @@ def test_rank_survey_hits_pinned():
         [10**6, 10**12, 10**18], 300, ModelConfig(seed=2024, chunk=64)
     )
     assert [rec.hits for rec in recs] == [
-        182, 30, 2, 0, 0,
-        176, 17, 1, 0, 0,
-        153, 7, 1, 0, 0,
+        181, 28, 2, 0, 0,
+        169, 16, 0, 0, 0,
+        160, 6, 0, 0, 0,
     ]
 
 
 def test_rank_survey_benchmark_grid_pinned():
     # the benchmark survey grid, one chunk of 10**4 curves per band;
-    # recorded before the band test on raw draws and the one-tally chunk
+    # recorded with one band index per curve and one bit per size
     recs, _ = rank_survey(
         [10**k for k in (6, 9, 12, 15, 18, 21, 24)], 10_000, ModelConfig(seed=12345)
     )
     assert [rec.hits for rec in recs] == [
-        5992, 1118, 42, 0, 0,
-        5722, 765, 20, 0, 0,
-        5650, 557, 7, 0, 0,
-        5411, 426, 4, 0, 0,
-        5292, 245, 1, 0, 0,
-        5209, 253, 8, 0, 0,
-        5275, 224, 1, 0, 0,
+        5986, 1021, 38, 0, 0,
+        5727, 740, 10, 0, 0,
+        5601, 576, 9, 0, 0,
+        5440, 456, 3, 0, 0,
+        5232, 236, 4, 0, 0,
+        5306, 270, 9, 0, 0,
+        5220, 238, 0, 0, 0,
     ]
 
 

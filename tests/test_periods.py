@@ -287,10 +287,20 @@ def test_singular_curves_rejected():
 
 
 def test_curves_past_double_precision_refused():
-    # k = 1e100 of the near-singular family: |a6|^(1/3) + sqrt(-a4) is
-    # 2.7e100, and past 1e100 the Newton loop's 2y^3 nears the float limit
+    # k = 1e100 of the near-singular family: -a4 = 3e200 is past 1e200,
+    # where sqrt(-a4) alone passes 1e100 and the Newton loop's 2y^3 nears
+    # the float limit
     with pytest.raises(ValueError, match="too large for double precision"):
         real_period(-3 * 10**200, 2 * 10**300 - 1)
+
+
+@pytest.mark.parametrize("a4", [-(10**199), 10**199])
+def test_discriminant_past_the_float_range_refused(a4):
+    # y0 is below 1e100, but 4*a4**3 + 27*a6**2 is about 1e597, and its
+    # quarter is no float: both routes refuse by name, before any float
+    for route in (real_period, real_period_quadrature):
+        with pytest.raises(ValueError, match="too large for double precision"):
+            route(a4, 10**295)
 
 
 # ---------------------------------------------------------------------------
