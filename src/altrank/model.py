@@ -16,7 +16,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -676,20 +677,28 @@ def _survey_chunk(spec):
     each draw is tallied once, under its corank with 5 and above in one
     tally, and the counts are summed from the top at the end.
 
-    Each sampled curve contributes one model draw at its own height,
-    the same draws as model_params and sample_alternating make; (eta, x)
-    is reused while the height stays in its schedule interval.  The size
-    bit is one getrandbits(1), as in model_params, and the entries are
-    drawn by _uniform_list, called directly rather than through
-    _alternating_upper, so no wrapper is called per curve.  Module level
-    so process pools can pickle it.
+    Each draw is the one model_params and sample_alternating make at a
+    uniform valid curve's height in the band (cap/2, cap].  When the
+    schedule interval of cap holds the whole band, every such curve gets
+    the same (eta, x), so no curve is drawn: each draw is the size bit
+    and the entries alone.  Otherwise the heights come from
+    _curve_stream, and (eta, x) is reused while the height stays in its
+    schedule interval.  The size bit is one getrandbits(1), as in
+    model_params, and the entries are drawn by _uniform_list, called
+    directly rather than through _alternating_upper, so no wrapper is
+    called per draw.  Module level so process pools can pickle it.
     """
     height_cap, _, size, seed, cfg = spec
     rng = Random(seed)
     getrandbits = rng.getrandbits
     hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by corank, 5 and above at 5
-    lo = hi = 0  # (eta, x) holds on [lo, hi]; heights are at least 100
-    for _, _, h in islice(_curve_stream(height_cap, rng), size):
+    lo, hi, eta, x = _schedule_interval(height_cap, cfg)  # (eta, x) holds on [lo, hi]
+    span = 2 * x + 1
+    if lo <= height_cap // 2 + 1:  # the band's least height
+        heights = repeat(height_cap, size)
+    else:
+        heights = map(itemgetter(2), islice(_curve_stream(height_cap, rng), size))
+    for h in heights:
         if not lo <= h <= hi:
             lo, hi, eta, x = _schedule_interval(h, cfg)
             span = 2 * x + 1
@@ -704,9 +713,12 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     """Estimated Prob(corank >= r), r = 1..5, per height band, plus
     log-log slope fits across the grid for every r with enough signal.
 
-    Returns (records, fits) where fits maps r to a FitResult.  Chunk
-    seeds derive from (cfg.seed, band, chunk), so results do not depend
-    on the thread count.
+    Each band (h/2, h] draws one model draw per uniform valid curve in
+    it; a band inside one schedule interval draws no curve, since every
+    curve there has the same (eta, x) (see _survey_chunk).  Returns
+    (records, fits) where fits maps r to a FitResult.  Chunk seeds
+    derive from (cfg.seed, band, chunk), so results do not depend on
+    the thread count.
     """
     h_grid = list(h_grid)
     if len(h_grid) < 3:

@@ -503,11 +503,12 @@ def test_huge_heights_in_float_range_run(tmp_path, args):
 
 
 def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
-    # Force the first band index to the cell a4 = 0, a6 = b_max =
-    # isqrt(1e80 // 27), whose 6th root is past MAX_TRIAL_DIVISOR with no
-    # 6th-power factor below it: the validity test refuses the curve and
-    # the run exits 2.
-    cap = 10**80
+    # Band (cap/2, cap] with cap = 3**193 // 2 crosses the eta step (15 to
+    # 16) at 3**192, so its draws follow curves.  Force the first band
+    # index to the cell a4 = 0, a6 = b_max = isqrt(cap // 27), whose 6th
+    # root is past MAX_TRIAL_DIVISOR with no 6th-power factor below it:
+    # the validity test refuses the curve and the run exits 2.
+    cap = 3**193 // 2
     a_max, b_max = altrank.model._coefficient_box(cap)
     a_lo, b_lo = altrank.model.iroot(cap // 8, 3), math.isqrt(cap // 54)
     # the |a4| > a_lo rectangle comes first; then, by a4, the 2*(b_max - b_lo)
@@ -523,13 +524,26 @@ def test_simulate_refuses_unsettled_curve(tmp_path, capsys, monkeypatch):
             return index if len(bits) == 1 else super().getrandbits(k)
 
     monkeypatch.setattr(altrank.model, "Random", FirstCurve)
-    rc = main(["simulate", "--h-grid", "1e80,1e81,1e82", "--out", str(tmp_path)])
+    grid = f"{cap},{10**93},{10**94}"
+    rc = main(["simulate", "--h-grid", grid, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "MAX_TRIAL_DIVISOR" in err
     assert bits == [total.bit_length()]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_draws_no_curve_in_one_interval_bands(tmp_path, monkeypatch):
+    # each band of 1e80, 1e81 and 1e82 lies inside one schedule interval,
+    # so the survey draws only matrices there and never tests a curve
+    def no_curve(*args):
+        raise AssertionError("a one-interval band drew a curve")
+
+    monkeypatch.setattr(altrank.model, "is_valid_curve", no_curve)
+    monkeypatch.setattr(altrank.model, "_curve_stream", no_curve)
+    argv = ["simulate", "--h-grid", "1e80,1e81,1e82", "--curves-per-band", "200"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -1066,7 +1080,7 @@ def test_byte_identical_across_threads(tmp_path, command):
 GOLDEN_RUNS = {
     "simulate": (
         ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--chunk", "100", "--seed", "11"],
-        {"survey.csv": "e6d51ff014ead9f23a285b3493f5949668d4befc47d464669fc20c9af3492f64"},
+        {"survey.csv": "658b4502a489e6725d2c45241494ef65fb1a0deb66152668123c266ef1d3f8af"},
     ),
     "sha-dist": (
         ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],

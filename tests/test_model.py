@@ -376,7 +376,8 @@ def test_draws_are_randrange(span):
 
 @pytest.mark.parametrize("span", [1, 2, 4, 2**8, 20001, 10**30])
 def test_uniform_list_is_randrange(span):
-    # sha-dist's entries and cl-dist's digits are drawn through it
+    # sha-dist's entries, cl-dist's digits and the survey's entries are
+    # drawn through it
     ours, ref = Random(span), Random(span)
     for count, lo in [(0, 0), (1, 0), (300, 0), (300, -(span // 2)), (7, -5)]:
         got = _uniform_list(ours.getrandbits, span, count, lo)
@@ -475,27 +476,68 @@ def test_schedule_interval_is_exact(h, cfg):
         assert _schedule_pair(lo - 1, cfg) != (eta, x)
 
 
-def test_survey_chunk_matches_public_draws():
+def test_survey_chunk_matches_public_draws(monkeypatch):
     # The survey reuses (eta, x) across its schedule interval and ranks
     # the raw entries; it must make the draws model_params and
     # sample_alternating make.  Band (0.75, 1.5] * 3**36 crosses the
-    # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4); band
-    # (5e28, 1e29] has (eta, x) = (5, 4), so n = 5 and 6.
-    for cap, cfg in [
-        (3**37 // 2, ModelConfig(seed=9)),
-        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3)),
-        (10**29, ModelConfig(seed=11)),
+    # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4), so each draw
+    # follows its curve.  Bands (5e8, 1e9] at ce = 1/6 and (5e28, 1e29],
+    # where (eta, x) = (5, 4) and n = 5 or 6, lie inside one schedule
+    # interval, where no curve is drawn.
+    def no_stream(*args):
+        raise AssertionError("a one-interval band drew a curve")
+
+    for cap, cfg, crosses in [
+        (3**37 // 2, ModelConfig(seed=9), True),
+        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3), False),
+        (10**29, ModelConfig(seed=11), False),
     ]:
+        lo, hi, _, _ = _schedule_interval(cap, cfg)
+        assert (lo > cap // 2 + 1) == crosses and cap <= hi, cap
         seed = chunk_seed(cfg.seed, "survey:0", 0)
         rng = Random(seed)
         want = [0] * 6
         for _ in range(600):
-            c = sample_curve_in_band(cap, rng)
-            p = model_params(c.height, cfg, rng)
+            h = sample_curve_in_band(cap, rng).height if crosses else cap
+            p = model_params(h, cfg, rng)
             corank = kernel_rank(sample_alternating(p.n, p.x, rng))
             for r in range(1, min(corank, 5) + 1):
                 want[r] += 1
-        assert _survey_chunk((cap, 0, 600, seed, cfg)) == want
+        with monkeypatch.context() as m:
+            if not crosses:
+                m.setattr(altrank.model, "_curve_stream", no_stream)
+            assert _survey_chunk((cap, 0, 600, seed, cfg)) == want
+
+
+def test_survey_matches_its_law_across_a_schedule_step():
+    # Band (1.5 * 2**23, 1.5 * 2**24] crosses the x step at 2**24: eta = 2
+    # throughout, x = 2 up to 2**24 and 3 above.  A uniform valid curve
+    # lies on either side with probability proportional to its exact
+    # curve count, and each side's draw is n = 2 or 3 with probability
+    # 1/2 each, so the count of draws with corank >= r is binomial with p
+    # the count-weighted mixture of (P_2 + P_3) / 2 at each x.  Sizes and
+    # the z bound are fixed before the run.
+    cap, step = 3 * 2**23, 2**24
+    curves, z_bound = 100_000, 5.0
+    below = _schedule_interval(cap // 2 + 1, CFG)
+    above = _schedule_interval(cap, CFG)
+    assert below[0] <= cap // 2 + 1 and below[1] == step and below[2:] == (2, 2)
+    assert above[0] == step + 1 and above[1] >= cap and above[2:] == (2, 3)
+    counts = [count_curves_exact(t) for t in (cap // 2, step, cap)]
+    assert counts == [399534, 508826, 711800]
+    weights = {2: counts[1] - counts[0], 3: counts[2] - counts[1]}  # by x
+    laws = [
+        sum(w * (empirical_corank_prob(2, x, r) + empirical_corank_prob(3, x, r)) for x, w in weights.items())
+        / (2 * (counts[2] - counts[0]))
+        for r in range(1, 6)
+    ]
+    hits = _survey_chunk((cap, 0, curves, chunk_seed(2029, "survey:0", 0), CFG))
+    for r, p in zip(range(1, 6), laws):
+        if p == 0:
+            assert hits[r] == 0, r
+        else:
+            z = (hits[r] - curves * p) / math.sqrt(curves * p * (1 - p))
+            assert abs(z) <= z_bound, (r, float(p), z)
 
 
 # the criterion-6 bands whose sizes n = eta and eta + 1 are at most 4,
@@ -994,31 +1036,33 @@ def test_rank_survey_structure_and_determinism():
 
 def test_rank_survey_hits_pinned():
     # three bands of five small chunks each; pins the survey's RNG order
-    # (curve, then matrix size, then entries)
+    # (matrix size, then entries: each band lies in one schedule interval,
+    # so no curve is drawn)
     recs, _ = rank_survey(
         [10**6, 10**12, 10**18], 300, ModelConfig(seed=2024, chunk=64)
     )
     assert [rec.hits for rec in recs] == [
-        181, 28, 2, 0, 0,
-        169, 16, 0, 0, 0,
-        160, 6, 0, 0, 0,
+        191, 31, 2, 0, 0,
+        167, 19, 0, 0, 0,
+        160, 9, 0, 0, 0,
     ]
 
 
 def test_rank_survey_benchmark_grid_pinned():
     # the benchmark survey grid, one chunk of 10**4 curves per band;
-    # recorded with one band index per curve and one bit per size
+    # recorded with no curve drawn, since every band lies in one
+    # schedule interval, and one bit per size
     recs, _ = rank_survey(
         [10**k for k in (6, 9, 12, 15, 18, 21, 24)], 10_000, ModelConfig(seed=12345)
     )
     assert [rec.hits for rec in recs] == [
-        5986, 1021, 38, 0, 0,
-        5727, 740, 10, 0, 0,
-        5601, 576, 9, 0, 0,
-        5440, 456, 3, 0, 0,
-        5232, 236, 4, 0, 0,
-        5306, 270, 9, 0, 0,
-        5220, 238, 0, 0, 0,
+        6104, 1099, 48, 0, 0,
+        5803, 725, 17, 0, 0,
+        5520, 572, 9, 0, 0,
+        5483, 467, 4, 0, 0,
+        5166, 250, 10, 0, 0,
+        5341, 244, 10, 0, 0,
+        5267, 220, 0, 0, 0,
     ]
 
 
