@@ -363,7 +363,7 @@ def run_command(name: str, settings) -> int:
     """Run command `name` on its resolved settings under the output
     directory, then write its manifest; a refusal removes what the run
     wrote and returns 2."""
-    out_dir = settings.get("out") or os.environ.get("ALTRANK_OUT") or "."
+    out_dir = settings.get("out") or "."
     emitter = Emitter(out_dir)
     try:
         emitter.make_dirs()

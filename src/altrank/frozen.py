@@ -7,8 +7,7 @@ no source is generated, and the standard library's module is never
 imported.
 
 - `__init__` takes the fields positionally or by keyword, in
-  annotation order; a class attribute is the field's default, and
-  `Factory(f)` calls f() afresh for every instance that omits the field
+  annotation order; a class attribute is the field's default
 - `__post_init__`, where the class has one, runs after the fields are
   set and may coerce them with `object.__setattr__`
 - `==` holds only between instances of the same class with equal
@@ -20,14 +19,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-__all__ = ["Factory", "frozen"]
-
-
-class Factory:
-    """Default made by calling `make()` for each instance."""
-
-    def __init__(self, make):
-        self.make = make
+__all__ = ["frozen"]
 
 
 def frozen(cls):
@@ -35,9 +27,6 @@ def frozen(cls):
     count = len(names)
     qualname = cls.__qualname__
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, default in defaults.items():
-        if isinstance(default, Factory):
-            delattr(cls, name)
     post_init = hasattr(cls, "__post_init__")
 
     def bind(args, kwargs):
@@ -51,8 +40,6 @@ def frozen(cls):
                 value = kwargs.pop(name)
             elif name in defaults:
                 value = defaults[name]
-                if isinstance(value, Factory):
-                    value = value.make()
             else:
                 raise TypeError(f"{qualname}() missing argument {name!r}")
             values.append(value)

@@ -22,7 +22,7 @@ from random import Random
 from typing import NamedTuple
 
 from .fitting import FitResult, exponent_fit
-from .frozen import Factory, frozen
+from .frozen import frozen
 from .groups import AbelianPGroup, group_label
 from .linalg import (
     AlternatingMatrix,
@@ -35,7 +35,7 @@ from .linalg import (
     kernel_rank,  # unused here, like smith_divisors: perfbench wraps both
     smith_divisors,
 )
-from .parallel import map_chunks, seeded_chunks
+from .parallel import CHUNK, map_chunks, seeded_chunks
 from .primes import iroot, is_prime
 from .settings import ModelConfig  # its home is the CLI front end
 
@@ -424,7 +424,7 @@ class Estimate(NamedTuple):
 class EmpiricalDistribution:
     counts: dict
     total: int
-    meta: dict = Factory(dict)
+    meta: dict
 
     def __post_init__(self):
         if any(c < 0 for c in self.counts.values()):
@@ -716,9 +716,9 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     Each band (h/2, h] draws one model draw per uniform valid curve in
     it; a band inside one schedule interval draws no curve, since every
     curve there has the same (eta, x) (see _survey_chunk).  Returns
-    (records, fits) where fits maps r to a FitResult.  Chunk seeds
-    derive from (cfg.seed, band, chunk), so results do not depend on
-    the thread count.
+    (records, fits) where fits maps r to a FitResult.  Each band is
+    split into chunks of CHUNK curves, seeded from (cfg.seed, band,
+    chunk), so results do not depend on the thread count.
     """
     h_grid = list(h_grid)
     if len(h_grid) < 3:
@@ -748,7 +748,7 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     specs = [
         (h, band_index, size, seed, cfg)
         for band_index, h in enumerate(h_grid)
-        for size, seed in seeded_chunks(curves_per_band, cfg.chunk, cfg.seed, f"survey:{band_index}")
+        for size, seed in seeded_chunks(curves_per_band, CHUNK, cfg.seed, f"survey:{band_index}")
     ]
     partials = map_chunks(_survey_chunk, specs, threads)
     per_band = [[0] * (MAX_SURVEY_RANK + 1) for _ in h_grid]

@@ -1,10 +1,10 @@
 """Deterministic chunked execution.
 
-Work is split into fixed-size chunks (simulate's ModelConfig.chunk
-curves per band, CHUNK by default; SAMPLE_CHUNK samples of sha-dist,
-cl-dist and period-scan), each seeded independently from (master seed,
-label, chunk index) through SHA-256, and results are merged in chunk
-order.  The thread count therefore changes wall time only, never output.
+Work is split into chunks of a constant size, no option (CHUNK curves
+per band of simulate; SAMPLE_CHUNK samples of sha-dist, cl-dist and
+period-scan), each seeded independently from (master seed, label, chunk
+index) through SHA-256, and results are merged in chunk order.  The
+thread count therefore changes wall time only, never output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 __all__ = ["CHUNK", "SAMPLE_CHUNK", "chunk_seed", "map_chunks", "seeded_chunks"]
 
-CHUNK = 20_000
+CHUNK = 100_000
 SAMPLE_CHUNK = 2_500
 
 

@@ -8,7 +8,8 @@ sampling modules: `altrank.cli`, which runs the commands and with them
 settings of a command that runs are resolved.  Each command is declared
 once, in `_COMMANDS`; its flags, config keys and manifest follow from
 that entry, and each key's parser from its default.  `ModelConfig`
-lives here, since simulate's defaults are its fields.
+lives here, since simulate's model keys are its fields.  The front end
+imports only `altrank.frozen` of the package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .frozen import frozen
-from .parallel import CHUNK
 
 # ---------------------------------------------------------------------------
 # exact numeric parsing (scientific notation must never round-trip a float)
@@ -100,7 +100,6 @@ class ModelConfig:
     x_min: int = 2
     calibration_exponent: Fraction = Fraction(1, 12)
     seed: int = 12345
-    chunk: int = CHUNK
 
     def __post_init__(self):
         ce = self.calibration_exponent
@@ -132,8 +131,6 @@ class ModelConfig:
             raise ValueError("eta_floor must be at least 1")
         if self.x_min < 2:
             raise ValueError("x_min must be at least 2")
-        if self.chunk < 1:
-            raise ValueError("chunk must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ class _Command(NamedTuple):
 
 
 # simulate's settings passed through to ModelConfig, with its defaults
-_MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent", "chunk")
+_MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent")
 
 _COMMANDS = {
     "simulate": _Command(
@@ -323,9 +320,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key = value settings file")
     common.add_argument("--seed", help="master seed (64-bit)")
     common.add_argument("--threads", help="worker processes")
-    common.add_argument(
-        "--out", help="output directory (or set ALTRANK_OUT); default ."
-    )
+    common.add_argument("--out", help="output directory; default .")
     parser = argparse.ArgumentParser(
         prog="altrank",
         description="alternating-matrix rank and Sha simulation laboratory",

@@ -160,7 +160,7 @@ def test_criterion_05_rank_deficient_counting_slopes():
 def test_criterion_06_survey_slope():
     t0 = time.perf_counter()
     grid = [10**k for k in (6, 9, 12, 15, 18, 21, 24)]
-    cfg = ModelConfig(seed=60607, chunk=100_000)
+    cfg = ModelConfig(seed=60607)
     _records, fits = rank_survey(grid, 1_000_000, cfg)
     elapsed = time.perf_counter() - t0
     slope = fits[2].slope
@@ -306,8 +306,6 @@ def test_criterion_10_thread_count_invariance(tmp_path):
         "1e6,1e8,1e10",
         "--curves-per-band",
         "900",
-        "--chunk",
-        "250",
         "--seed",
         "777",
     ]

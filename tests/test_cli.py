@@ -196,7 +196,6 @@ PARSER_SURFACE = {
         ("--eta-floor", "eta_floor", None),
         ("--x-min", "x_min", None),
         ("--calibration-exponent", "calibration_exponent", None),
-        ("--chunk", "chunk", None),
     ],
     "sha-dist": [
         ("--n", "n", None),
@@ -257,7 +256,6 @@ SCHEMA = {
     "eta_floor": parse_exact_int,
     "x_min": parse_exact_int,
     "calibration_exponent": str,
-    "chunk": parse_exact_int,
     "stride": parse_exact_int,
 }
 
@@ -270,7 +268,7 @@ def test_each_key_parser_follows_from_its_default():
             assert front._parser(default) is SCHEMA[key], key
             # every command that declares a key gives it a default of one type
             assert types.setdefault(key, type(default)) is type(default), key
-    assert len(SCHEMA) == 23
+    assert len(SCHEMA) == 22
     assert set(types) == set(SCHEMA)
 
 
@@ -568,12 +566,12 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
         (["period-scan"], ["n = 3"]),
         (["predicted-table"], ["bounds = 1..4"]),
         # the model keys are simulate's alone
-        (["sha-dist"], ["chunk = 5", "eta_schedule = constant"]),
+        (["sha-dist"], ["x_min = 5", "eta_schedule = constant"]),
         (["cl-dist"], ["eta_schedule = constant"]),
         (["count"], ["x_min = 0", "calibration_exponent = -3"]),
         (["verify", "table"], ["calibration_exponent = 1/6"]),
         (["period-scan"], ["eta_floor = 3"]),
-        (["predicted-table"], ["chunk = 5"]),
+        (["predicted-table"], ["x_min = 5"]),
     ],
 )
 def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lines):
@@ -590,21 +588,21 @@ def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lin
 def test_print_config_takes_any_known_key(tmp_path, capsys):
     # it only displays settings; the global ones it shows come from the file
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 3\nstride = 5\nchunk = 7\nthreads = 7\n")
+    cfg.write_text("k = 3\nstride = 5\nx_min = 7\nthreads = 7\n")
     assert main(["print-config", "--config", str(cfg)]) == 0
     assert "threads = 7\n" in capsys.readouterr().out
 
 
 def test_print_config_shows_command_keys_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("chunk = 7\nsamples = 5\n")
+    cfg.write_text("x_min = 7\nsamples = 5\n")
     assert main(["print-config", "--config", str(cfg)]) == 0
     shown = {}
     for line in capsys.readouterr().out.splitlines():
         if line.startswith("# "):
             name, _, pairs = line[2:].partition(" defaults: ")
             shown[name] = pairs.split()
-    assert "chunk=7" in shown["simulate"]
+    assert "x_min=7" in shown["simulate"]
     for name in ("sha-dist", "cl-dist", "verify", "period-scan"):
         assert "samples=5" in shown[name], name
     # a command that reads neither key keeps its defaults
@@ -817,7 +815,6 @@ def test_simulate_takes_the_model_keys_from_flags_and_config(tmp_path):
         "eta_floor": "3",
         "x_min": "3",
         "calibration_exponent": "1/10",
-        "chunk": "7",
     }
     base = ["simulate", "--h-grid", "1e6,1e8,1e10", "--curves-per-band", "30"]
     flags = [a for k, v in model.items() for a in ("--" + k.replace("_", "-"), v)]
@@ -875,11 +872,39 @@ def test_print_config_writes_nothing(tmp_path, capsys, monkeypatch):
     text = capsys.readouterr().out
     assert text.splitlines()[:3] == ["out = None", "seed = 12345", "threads = 1"]
     assert (
-        "# simulate defaults: calibration_exponent=1/12 chunk=20000 "
+        "# simulate defaults: calibration_exponent=1/12 "
         "curves_per_band=10000 eta_floor=2 eta_schedule=log3 "
         "h_grid=1000000,1000000000000,1000000000000000000 x_min=2\n"
     ) in text
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_defaults_to_the_working_directory(tmp_path, monkeypatch):
+    # no environment variable stands in for --out
+    monkeypatch.setenv("ALTRANK_OUT", str(tmp_path / "env"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["predicted-table", "--h-list", "1e10,1e11"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "predicted_table.csv",
+        "predicted_table_manifest.json",
+    ]
+
+
+def test_simulate_has_no_chunk_flag_or_config_key(tmp_path, capsys, monkeypatch):
+    # a band's chunks are CHUNK curves, a constant: argparse refuses the
+    # flag (after its usage text) and the config file the key
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        main(["simulate", "--chunk", "5"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1] == "altrank: error: unrecognized arguments: --chunk 5"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chunk = 5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'chunk'"]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # ---------------------------------------------------------------------------
@@ -1041,10 +1066,10 @@ def test_cl_dist_byte_identical_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
-# each run makes at least 2 chunks: simulate 3 per band, the others
-# 2 of SAMPLE_CHUNK = 2500 samples
+# each run makes at least 2 chunks: simulate 3 per band of 200 curves
+# (altrank.model.CHUNK patched), the others 2 of SAMPLE_CHUNK = 2500 samples
 THREADS_RUNS = {
-    "simulate": ["--h-grid", "1e6,1e8,1e10", "--curves-per-band", "600", "--chunk", "200"],
+    "simulate": ["--h-grid", "1e6,1e8,1e10", "--curves-per-band", "600"],
     "sha-dist": ["--n", "4", "--x", "5", "--samples", "2600"],
     "cl-dist": ["--n", "4", "--k", "6", "--samples", "2600"],
     "period-scan": ["--h-min", "1e4", "--h-max", "1e8", "--samples", "2600"],
@@ -1052,7 +1077,8 @@ THREADS_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(THREADS_RUNS))
-def test_byte_identical_across_threads(tmp_path, command):
+def test_byte_identical_across_threads(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(altrank.model, "CHUNK", 200)
     args = [command, *THREADS_RUNS[command], "--seed", "99"]
     a, b = tmp_path / "t1", tmp_path / "t2"
     assert main(args + ["--out", str(a), "--threads", "1"]) == 0
@@ -1075,11 +1101,12 @@ def test_byte_identical_across_threads(tmp_path, command):
 
 
 # sha256 of each output of one small run per data command (manifests,
-# which hold a timestamp, apart).  A change that alters any output byte
+# which hold a timestamp, apart), simulate's in chunks of 100 curves
+# (altrank.model.CHUNK patched).  A change that alters any output byte
 # must say so and update the hash.
 GOLDEN_RUNS = {
     "simulate": (
-        ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--chunk", "100", "--seed", "11"],
+        ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--seed", "11"],
         {"survey.csv": "658b4502a489e6725d2c45241494ef65fb1a0deb66152668123c266ef1d3f8af"},
     ),
     "sha-dist": (
@@ -1112,7 +1139,8 @@ GOLDEN_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
-def test_outputs_match_golden_bytes(tmp_path, command):
+def test_outputs_match_golden_bytes(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(altrank.model, "CHUNK", 100)
     args, want = GOLDEN_RUNS[command]
     assert main([command, *args, "--out", str(tmp_path)]) == 0
     got = {

@@ -35,7 +35,6 @@ _VALUES = {
             ["1/12", "1/6", "5/36", "1e-1", "1000/999"],
             ["0", "-1", "1/0", "1/1000000000", "12345/7", "1000", "1e-100000000"],
         ),
-        "chunk": (["1", "2", "1e3"], ["0", "-1"]),
     },
     "sha-dist": {
         # the draw budget refuses 300 at r = 0 and 301 at r = 1
@@ -127,7 +126,7 @@ def invocations(draw):
         if where != "flag":
             lines.append(f"{key} = {value}")
     # now and then a line the command does not read, or cannot parse
-    extras = ["volume = 11", "samples = 5", "k = 3", "chunk = 5", "no equals sign"]
+    extras = ["volume = 11", "samples = 5", "k = 3", "x_min = 5", "no equals sign"]
     extra = draw(st.sampled_from([None] * 6 + extras))
     if extra:
         lines.insert(draw(st.integers(0, len(lines))), extra)

@@ -107,7 +107,7 @@ def run_altrank(*argv):
 
 
 # what `python -m altrank` loads before a command's settings are resolved
-FRONT_END = {"altrank", "altrank.frozen", "altrank.parallel", "altrank.settings"}
+FRONT_END = {"altrank", "altrank.frozen", "altrank.settings"}
 
 # the stdout of `print-config` without a config file
 PRINT_CONFIG = """\
@@ -119,7 +119,7 @@ threads = 1
 # period-scan defaults: h_max=10000000000 h_min=10000 samples=1000
 # predicted-table defaults: h_list=10000000000,100000000000,1000000000000,10000000000000,100000000000000,1000000000000000
 # sha-dist defaults: method=exact n=10 p=2 r=0 samples=10000 x=10000
-# simulate defaults: calibration_exponent=1/12 chunk=20000 curves_per_band=10000 eta_floor=2 eta_schedule=log3 h_grid=1000000,1000000000000,1000000000000000000 x_min=2
+# simulate defaults: calibration_exponent=1/12 curves_per_band=10000 eta_floor=2 eta_schedule=log3 h_grid=1000000,1000000000000,1000000000000000000 x_min=2
 # verify defaults: samples=1000 stride=211
 """
 
@@ -142,8 +142,17 @@ def test_print_config_loads_only_the_front_end():
         (["sha-dist", "--n", "x"], 2),
         (["simulate", "--threads", "0"], 2),
         (["simulate", "--config", "{cfg}"], 2),
+        (["simulate", "--chunk", "5"], 2),
     ],
-    ids=["help", "command-help", "bad-choice", "bad-integer", "bad-threads", "refused-config-key"],
+    ids=[
+        "help",
+        "command-help",
+        "bad-choice",
+        "bad-integer",
+        "bad-threads",
+        "refused-config-key",
+        "unknown-flag",
+    ],
 )
 def test_parse_time_exits_load_only_the_front_end(tmp_path, argv, code):
     cfg = tmp_path / "run.cfg"
@@ -170,6 +179,7 @@ def test_sampling_run_adds_only_the_front_end(tmp_path):
         "altrank.groups",
         "altrank.linalg",
         "altrank.model",
+        "altrank.parallel",
         "altrank.primes",
     }
     assert (tmp_path / "sha_dist.json").exists()
@@ -268,18 +278,28 @@ sys.meta_path.insert(0, Blocker())
 
 
 def test_periods_run_without_numpy_or_scipy(tmp_path):
-    tests = str(Path(__file__).with_name("test_periods.py"))
+    # the period cross-check, a scan at the top of the height range (as
+    # CI's stdlib-only step runs them) and the quadrature on a curve of
+    # test_periods.NEAR_SINGULAR; tests/test_periods.py runs in full in
+    # the main process
+    verify, scan = str(tmp_path / "vp"), str(tmp_path / "ps")
     run = child_modules(
         BLOCK_NUMPY_SCIPY + "import pytest\n"
         "with pytest.raises(ImportError):\n"
         "    import scipy.integrate\n"
-        f"assert pytest.main(['-q', '-p', 'no:cacheprovider', {tests!r}]) == 0\n"
         "from altrank.cli import main\n"
-        f"assert main(['verify', 'period', '--out', {str(tmp_path)!r}]) == 0"
+        f"assert main(['verify', 'period', '--out', {verify!r}]) == 0\n"
+        "argv = ['period-scan', '--h-min', '1e300', '--h-max', '1.7e308', '--samples', '100']\n"
+        f"assert main(argv + ['--out', {scan!r}]) == 0\n"
+        "from altrank.periods import real_period, real_period_quadrature\n"
+        "a4, a6 = -3 * 10**12, -(2 * 10**18 + 1)\n"
+        "agm = real_period(a4, a6)\n"
+        "assert abs(real_period_quadrature(a4, a6) - agm.omega) <= 1e-12 * agm.omega + agm.est_error"
     )
     assert "altrank.periods" in run
     assert {m.partition(".")[0] for m in run} & {"numpy", "scipy"} == set()
-    assert json.loads((tmp_path / "verify_period.json").read_text())["passed"]
+    assert json.loads((tmp_path / "vp" / "verify_period.json").read_text())["passed"]
+    assert (tmp_path / "ps" / "period_scan_summary.json").exists()
 
 
 class RecordingPool:

@@ -101,10 +101,9 @@ CASES = [
             "x_min": 4,
             "calibration_exponent": Fraction(1, 6),
             "seed": 7,
-            "chunk": 100,
         },
         "ModelConfig(eta_schedule='constant', eta_floor=3, x_min=4, "
-        "calibration_exponent=Fraction(1, 6), seed=7, chunk=100)",
+        "calibration_exponent=Fraction(1, 6), seed=7)",
         [
             ({"calibration_exponent": 0.5}, TypeError, "must be exact"),
             ({"eta_schedule": "log2"}, ValueError, "unknown eta schedule 'log2'"),
@@ -122,8 +121,8 @@ CASES = [
         {"counts": {"2:[]": 3}, "total": 3, "meta": {"n": 2}},
         "EmpiricalDistribution(counts={'2:[]': 3}, total=3, meta={'n': 2})",
         [
-            ({"counts": {"a": 1}, "total": 2}, ValueError, "counts do not sum to total"),
-            ({"counts": {"a": -1}, "total": -1}, ValueError, "negative count"),
+            ({"counts": {"a": 1}, "total": 2, "meta": {}}, ValueError, "counts do not sum to total"),
+            ({"counts": {"a": -1}, "total": -1, "meta": {}}, ValueError, "negative count"),
         ],
     ),
 ]
@@ -180,16 +179,12 @@ def test_value_class_defaults_and_coercions():
     cfg = ModelConfig()
     assert repr(cfg) == (
         "ModelConfig(eta_schedule='log3', eta_floor=2, x_min=2, "
-        "calibration_exponent=Fraction(1, 12), seed=12345, chunk=20000)"
+        "calibration_exponent=Fraction(1, 12), seed=12345)"
     )
     # the class attributes are the defaults, as the CLI reads them
     assert (ModelConfig.eta_floor, ModelConfig.seed) == (2, 12345)
     assert ModelConfig(seed=3) == ModelConfig(seed=3) != cfg
     assert ModelConfig(calibration_exponent="1/6").calibration_exponent == Fraction(1, 6)
-
-    a = EmpiricalDistribution({}, 0)
-    b = EmpiricalDistribution({}, 0)
-    assert a.meta == {} and a.meta is not b.meta
 
     assert AbelianPGroup(2, [2, 1]).exponents == (2, 1)
     assert IntegerMatrix(1, 1, [5]).entries == (5,)
