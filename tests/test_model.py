@@ -362,6 +362,20 @@ def test_alternating_upper_is_randrange(x):
 
 @pytest.mark.parametrize(
     "span",
+    [1, 2, 3]
+    + [2**k + e for k in (5, 16, 32) for e in (-1, 0, 1)]
+    + [2**64 + 3, 10**30],
+)
+def test_draws_are_randrange(span):
+    # single draws through _uniform_list are randrange calls
+    ours, ref = Random(span), Random(span)
+    got = [_uniform_list(ours.getrandbits, span, 1)[0] for _ in range(300)]
+    assert got == [ref.randrange(span) for _ in range(300)]
+    assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "span",
     [1, 2, 3, 4, 2**8, 20001]
     + [2**k + e for k in (5, 16, 32) for e in (-1, 0, 1)]
     + [2**64 + 3, 10**30],
