@@ -123,20 +123,18 @@ def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHist
     cells = census_cells(n, bound, norm)
     m = n * (n - 1) // 2
     if norm == "box":
-        if n <= 1:
-            return RankHistogram(n, bound, norm, {0: 1})
-        if n == 2:
-            return RankHistogram(n, bound, norm, {0: 1, 2: 2 * bound})
-        if n == 4:
-            # rank <= 2 is exactly Pfaffian = 0; rank 0 is the zero matrix
+        if n <= 3:
+            # rank 0 is the zero matrix; at n <= 3 every other one has rank 2
+            counts = {0: 1, 2: cells - 1}
+        elif n == 4:
+            # rank <= 2 is exactly Pfaffian = 0
             z = _pfaffian_zero_count_box(bound)
             counts = {0: 1, 2: z - 1, 4: cells - z}
-            return RankHistogram(n, bound, norm, {k: v for k, v in counts.items() if v})
-        counts: Counter = Counter()
-        rng = range(-bound, bound + 1)
-        for upper in product(rng, repeat=m):
-            counts[_alternating_rank(n, upper)] += 1
-        return RankHistogram(n, bound, norm, dict(counts))
+        else:
+            counts = Counter()
+            for upper in product(range(-bound, bound + 1), repeat=m):
+                counts[_alternating_rank(n, upper)] += 1
+        return RankHistogram(n, bound, norm, {k: v for k, v in counts.items() if v})
 
     budget = (bound * bound - 1) // 2
     counts = Counter()

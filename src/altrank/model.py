@@ -682,29 +682,52 @@ def _survey_chunk(spec):
     schedule interval of cap holds the whole band, every such curve gets
     the same (eta, x), so no curve is drawn: each draw is the size bit
     and the entries alone.  Otherwise the heights come from
-    _curve_stream, and (eta, x) is reused while the height stays in its
-    schedule interval.  The size bit is one getrandbits(1), as in
-    model_params, and the entries are drawn by _uniform_list, called
-    directly rather than through _alternating_upper, so no wrapper is
-    called per draw.  Module level so process pools can pickle it.
+    _curve_stream, and the loop keeps two schedule intervals, the
+    current one and the one before it: a height outside the current
+    interval takes the other if it lies there, and only otherwise calls
+    _schedule_interval, so a band across one step computes two
+    intervals per chunk.  The size bit is one getrandbits(1), as in
+    model_params.  The entries are drawn as _uniform_list draws them:
+    at n >= 4 by _uniform_list itself, ranked by _alternating_rank; at
+    n <= 3 by its getrandbits rejection loop inline, with no list and no
+    rank call, since a nonzero alternating matrix of size n <= 3 has
+    rank 2, and an entry r - x is 0 exactly when r == x.  Module level
+    so process pools can pickle it.
     """
     height_cap, _, size, seed, cfg = spec
     rng = Random(seed)
     getrandbits = rng.getrandbits
     hist = [0] * (MAX_SURVEY_RANK + 1)  # draws by corank, 5 and above at 5
     lo, hi, eta, x = _schedule_interval(height_cap, cfg)  # (eta, x) holds on [lo, hi]
+    before = (1, 0, eta, x)  # the interval before [lo, hi]; empty until one is left
     span = 2 * x + 1
+    k = span.bit_length()
     if lo <= height_cap // 2 + 1:  # the band's least height
         heights = repeat(height_cap, size)
     else:
         heights = map(itemgetter(2), islice(_curve_stream(height_cap, rng), size))
     for h in heights:
         if not lo <= h <= hi:
-            lo, hi, eta, x = _schedule_interval(h, cfg)
+            here = lo, hi, eta, x
+            if before[0] <= h <= before[1]:
+                lo, hi, eta, x = before
+            else:
+                lo, hi, eta, x = _schedule_interval(h, cfg)
+            before = here
             span = 2 * x + 1
+            k = span.bit_length()
         n = eta + getrandbits(1)
-        upper = _uniform_list(getrandbits, span, n * (n - 1) // 2, -x)
-        corank = n - _alternating_rank(n, upper)
+        if n < 4:
+            corank = n  # until a nonzero entry
+            for _ in range(n * (n - 1) // 2):
+                r = getrandbits(k)
+                while r >= span:
+                    r = getrandbits(k)
+                if r != x:
+                    corank = n - 2
+        else:
+            upper = _uniform_list(getrandbits, span, n * (n - 1) // 2, -x)
+            corank = n - _alternating_rank(n, upper)
         hist[corank if corank < MAX_SURVEY_RANK else MAX_SURVEY_RANK] += 1
     return [0] + [sum(hist[r:]) for r in range(1, MAX_SURVEY_RANK + 1)]
 

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import altrank.counting
 from altrank.counting import (
     CapExceededError,
     LatticeBasis,
@@ -93,6 +94,25 @@ def test_box_n3_exhaustive():
     assert hist.total == 27
     assert hist.at_most(0) == 1
     assert hist.at_most(2) == 27
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_box_small_n_closed_form_vs_brute(bound):
+    # n <= 3 is a closed form: the zero matrix has rank 0, every other
+    # alternating matrix rank 2; check against direct rank enumeration
+    for n in range(4):
+        hist = count_alternating_by_rank(n, bound)
+        assert hist.counts == brute_box_histogram(n, bound), n
+        assert hist.total == (2 * bound + 1) ** (n * (n - 1) // 2)
+
+
+def test_box_n3_ranks_no_matrix(monkeypatch):
+    # 801**3 cells: the closed form answers without enumerating them
+    def no_rank(*args):
+        raise AssertionError("the n = 3 census ranked a matrix")
+
+    monkeypatch.setattr(altrank.counting, "_alternating_rank", no_rank)
+    assert count_alternating_by_rank(3, 400).counts == {0: 1, 2: 801**3 - 1}
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])

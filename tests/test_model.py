@@ -5,7 +5,7 @@ from itertools import islice, product
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import altrank.model
 from altrank.cli import main
@@ -46,6 +46,7 @@ from altrank.model import (
 )
 from altrank.model import (
     _alternating_upper,
+    _band_nonempty,
     _coefficient_box,
     _curve_stream,
     _schedule_interval,
@@ -481,37 +482,81 @@ def test_schedule_interval_is_exact(h, cfg):
         assert _schedule_pair(lo - 1, cfg) != (eta, x)
 
 
+def _public_survey(cap, cfg, seed, draws):
+    # the tallies of _survey_chunk from the public draws: a uniform valid
+    # curve in the band unless cap's schedule interval holds the whole
+    # band, then model_params and sample_alternating at its height
+    lo = _schedule_interval(cap, cfg)[0]
+    rng = Random(seed)
+    want = [0] * 6
+    for _ in range(draws):
+        h = sample_curve_in_band(cap, rng).height if lo > cap // 2 + 1 else cap
+        p = model_params(h, cfg, rng)
+        corank = kernel_rank(sample_alternating(p.n, p.x, rng))
+        for r in range(1, min(corank, 5) + 1):
+            want[r] += 1
+    return want
+
+
+# one height per schedule interval: x = ceil(h**500) steps at every height
+ONE_HEIGHT_INTERVALS = ModelConfig(eta_schedule="constant", eta_floor=2, calibration_exponent=1000)
+
+
 def test_survey_chunk_matches_public_draws(monkeypatch):
-    # The survey reuses (eta, x) across its schedule interval and ranks
-    # the raw entries; it must make the draws model_params and
+    # The survey reuses (eta, x) across its schedule intervals, and ranks
+    # n <= 3 without a matrix; it must make the draws model_params and
     # sample_alternating make.  Band (0.75, 1.5] * 3**36 crosses the
     # eta step at 3**36, from (eta, x) = (2, 6) to (3, 4), so each draw
-    # follows its curve.  Bands (5e8, 1e9] at ce = 1/6 and (5e28, 1e29],
-    # where (eta, x) = (5, 4) and n = 5 or 6, lie inside one schedule
+    # follows its curve; so do the band (1.5 * 2**23, 1.5 * 2**24], across
+    # the x step 2 -> 3 at 2**24, and (5e5, 1e6] under ONE_HEIGHT_INTERVALS,
+    # where each height has its own x.  Bands (5e8, 1e9] at ce = 1/6 and
+    # (5e28, 1e29], where (eta, x) = (5, 4) and n = 5 or 6, and (5e4, 1e5]
+    # at eta = 1, where n = 1 or 2 and x = 3, lie inside one schedule
     # interval, where no curve is drawn.
     def no_stream(*args):
         raise AssertionError("a one-interval band drew a curve")
 
-    for cap, cfg, crosses in [
-        (3**37 // 2, ModelConfig(seed=9), True),
-        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3), False),
-        (10**29, ModelConfig(seed=11), False),
+    for cap, cfg, crosses, draws in [
+        (3**37 // 2, ModelConfig(seed=9), True, 600),
+        (3 * 2**23, ModelConfig(seed=12), True, 600),
+        (10**6, ONE_HEIGHT_INTERVALS, True, 200),
+        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3), False, 600),
+        (10**29, ModelConfig(seed=11), False, 600),
+        (10**5, ModelConfig(seed=13, eta_schedule="constant", eta_floor=1), False, 600),
     ]:
         lo, hi, _, _ = _schedule_interval(cap, cfg)
         assert (lo > cap // 2 + 1) == crosses and cap <= hi, cap
         seed = chunk_seed(cfg.seed, "survey:0", 0)
-        rng = Random(seed)
-        want = [0] * 6
-        for _ in range(600):
-            h = sample_curve_in_band(cap, rng).height if crosses else cap
-            p = model_params(h, cfg, rng)
-            corank = kernel_rank(sample_alternating(p.n, p.x, rng))
-            for r in range(1, min(corank, 5) + 1):
-                want[r] += 1
+        want = _public_survey(cap, cfg, seed, draws)
         with monkeypatch.context() as m:
             if not crosses:
                 m.setattr(altrank.model, "_curve_stream", no_stream)
-            assert _survey_chunk((cap, 0, 600, seed, cfg)) == want
+            assert _survey_chunk((cap, 0, draws, seed, cfg)) == want, cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 30).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d)),
+    st.sampled_from(SCHEDULE_CONFIGS + [ModelConfig(eta_schedule="constant", eta_floor=1)]),
+    st.integers(0, 2**32),
+)
+def test_survey_chunk_matches_public_draws_at_any_cap(cap, cfg, seed):
+    assume(_band_nonempty(cap))
+    assert _survey_chunk((cap, 0, 100, seed, cfg)) == _public_survey(cap, cfg, seed, 100)
+
+
+def test_survey_chunk_keeps_both_intervals_of_a_crossing_band(monkeypatch):
+    # heights on the two sides of the x step at 2**24 alternate; the chunk
+    # computes each side's interval once, not once per crossing
+    calls = []
+
+    def counted(h, cfg):
+        calls.append(h)
+        return _schedule_interval(h, cfg)
+
+    monkeypatch.setattr(altrank.model, "_schedule_interval", counted)
+    _survey_chunk((3 * 2**23, 0, 2000, chunk_seed(31, "survey:0", 0), CFG))
+    assert len(calls) <= 3
 
 
 def test_survey_matches_its_law_across_a_schedule_step():
