@@ -84,6 +84,12 @@ MAX_FLOAT_HEIGHT = int(sys.float_info.max)
 DRAW_BUDGET = 15 * 10**6  # steps of about 0.1 us in one draw, as _check_draw_cost counts them
 
 
+def _check_int(name: str, value) -> None:
+    # a float is refused, not rounded: int(1e24) is 999999999999999983222784
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # the curve family
 
@@ -211,6 +217,7 @@ def _curve_stream(height_cap: int, rng: Random):
     accept at gcd(a4, a6) < 16 and for the height; is_valid_curve runs
     only at gcd >= 16, where it may trial-divide.
     """
+    _check_int("band top", height_cap)
     if height_cap < MIN_HEIGHT:
         raise ValueError(f"band top must be at least {MIN_HEIGHT}")
     if not _band_nonempty(height_cap):
@@ -277,18 +284,19 @@ def schedule_eta(height: int, cfg: ModelConfig) -> int:
 
 
 def schedule_x(height: int, eta: int, cfg: ModelConfig) -> int:
-    """Exact ceil(height**(ce/eta)), clamped below by x_min."""
+    """Exact ceil(height**(ce/eta)): at least 2 at every height above 1."""
     num = cfg.calibration_exponent.numerator
     den = cfg.calibration_exponent.denominator * eta
     target = height**num
     r = iroot(target, den)
     if r**den != target:
         r += 1
-    return max(cfg.x_min, r)
+    return r
 
 
 def model_params(height: int, cfg: ModelConfig, rng: Random) -> ModelParams:
     """Matrix size (uniform on {eta, eta+1}) and entry bound for one draw."""
+    _check_int("height", height)
     if height < MIN_HEIGHT:
         raise ValueError(f"height must be at least {MIN_HEIGHT}")
     eta = schedule_eta(height, cfg)
@@ -298,24 +306,21 @@ def model_params(height: int, cfg: ModelConfig, rng: Random) -> ModelParams:
 def _schedule_interval(height: int, cfg: ModelConfig):
     """(lo, hi, eta, x) with eta = schedule_eta(h, cfg) and
     x = schedule_x(h, eta, cfg) for every height h in [lo, hi], an
-    interval that contains `height`; (eta, x) differ at hi + 1, and at
-    lo - 1 unless lo is 0.
+    interval that contains `height`; (eta, x) differ at lo - 1 and at
+    hi + 1.
 
     In terms of T = h**num (calibration exponent num/den): under "log3"
     eta is fixed on [3**(eta*den), 3**((eta+1)*den) - 1], with the lower
     end dropped at eta_floor, and x = ceil(T**(1/(den*eta))) is fixed on
-    ((x-1)**(den*eta), x**(den*eta)], with the lower end dropped at
-    x_min.  Only the ends come from these formulas; (eta, x) come from
-    the schedule itself.
+    ((x-1)**(den*eta), x**(den*eta)].  Only the ends come from these
+    formulas; (eta, x) come from the schedule itself.
     """
     num = cfg.calibration_exponent.numerator
     den = cfg.calibration_exponent.denominator
     eta = schedule_eta(height, cfg)
     x = schedule_x(height, eta, cfg)
     d = den * eta
-    t_lo, t_hi = 0, x**d
-    if x > cfg.x_min:
-        t_lo = (x - 1) ** d + 1
+    t_lo, t_hi = (x - 1) ** d + 1, x**d
     if cfg.eta_schedule == "log3":
         t_hi = min(t_hi, 3 ** ((eta + 1) * den) - 1)
         if eta > cfg.eta_floor:
@@ -744,6 +749,9 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     chunk), so results do not depend on the thread count.
     """
     h_grid = list(h_grid)
+    for h in h_grid:
+        _check_int("grid height", h)
+    _check_int("curves_per_band", curves_per_band)
     if len(h_grid) < 3:
         raise ValueError("need at least 3 grid heights")
     if any(b <= a for a, b in zip(h_grid, h_grid[1:])):
@@ -762,9 +770,9 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     key = "eta_floor" if eta == cfg.eta_floor else "calibration_exponent"
     # the rank as in sha-dist; x**(den*eta) at b / 4, or 3b when its root runs Newton (num > 2)
     _check_draw_cost(
-        key + " {} gives matrices of size {} at height {}, with x_min {} and "
+        key + " {} gives matrices of size {} at height {}, with "
         "calibration_exponent {} entries of {} bits",
-        (getattr(cfg, key), eta + 1, h_grid[-1], cfg.x_min, cfg.calibration_exponent, bits),
+        (getattr(cfg, key), eta + 1, h_grid[-1], cfg.calibration_exponent, bits),
         (eta + 1, (eta + 1) * bits // 3),
         (1, den * eta * bits * (12 if num > 2 else 1) // 4),
     )

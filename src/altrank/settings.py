@@ -83,11 +83,11 @@ class ModelConfig:
 
     eta_schedule "log3" sets eta = max(eta_floor, floor of the base-3 log
     of height**calibration_exponent); "constant" pins eta = eta_floor.
-    The entry bound is then x = max(x_min, ceil(height**(ce/eta))), both
-    computed in exact integer arithmetic, so that x**eta tracks
-    height**ce up to a bounded factor.  With the defaults the ratio
-    x**eta / height**(1/12) stays inside [1, 16] for heights between
-    1e4 and 1e30.
+    The entry bound is then x = ceil(height**(ce/eta)), both computed in
+    exact integer arithmetic, so that x**eta tracks height**ce up to a
+    bounded factor; x >= 2 at every height above 1.  With the defaults
+    the ratio x**eta / height**(1/12) stays inside [1, 16] for heights
+    between 1e4 and 1e30.
 
     The numerator and denominator of calibration_exponent are at most
     MAX_CALIBRATION_TERM (1000).  rank_survey refuses a schedule whose
@@ -97,7 +97,6 @@ class ModelConfig:
 
     eta_schedule: str = "log3"
     eta_floor: int = 2
-    x_min: int = 2
     calibration_exponent: Fraction = Fraction(1, 12)
     seed: int = 12345
 
@@ -129,8 +128,6 @@ class ModelConfig:
             raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
         if self.eta_floor < 1:
             raise ValueError("eta_floor must be at least 1")
-        if self.x_min < 2:
-            raise ValueError("x_min must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ class _Command(NamedTuple):
 
 
 # simulate's settings passed through to ModelConfig, with its defaults
-_MODEL_KEYS = ("eta_schedule", "eta_floor", "x_min", "calibration_exponent")
+_MODEL_KEYS = ("eta_schedule", "eta_floor", "calibration_exponent")
 
 _COMMANDS = {
     "simulate": _Command(

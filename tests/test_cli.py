@@ -194,7 +194,6 @@ PARSER_SURFACE = {
         ("--curves-per-band", "curves_per_band", None),
         ("--eta-schedule", "eta_schedule", None),
         ("--eta-floor", "eta_floor", None),
-        ("--x-min", "x_min", None),
         ("--calibration-exponent", "calibration_exponent", None),
     ],
     "sha-dist": [
@@ -254,7 +253,6 @@ SCHEMA = {
     "h_max": parse_exact_int,
     "eta_schedule": str,
     "eta_floor": parse_exact_int,
-    "x_min": parse_exact_int,
     "calibration_exponent": str,
     "stride": parse_exact_int,
 }
@@ -268,7 +266,7 @@ def test_each_key_parser_follows_from_its_default():
             assert front._parser(default) is SCHEMA[key], key
             # every command that declares a key gives it a default of one type
             assert types.setdefault(key, type(default)) is type(default), key
-    assert len(SCHEMA) == 22
+    assert len(SCHEMA) == 21
     assert set(types) == set(SCHEMA)
 
 
@@ -566,12 +564,12 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
         (["period-scan"], ["n = 3"]),
         (["predicted-table"], ["bounds = 1..4"]),
         # the model keys are simulate's alone
-        (["sha-dist"], ["x_min = 5", "eta_schedule = constant"]),
+        (["sha-dist"], ["eta_floor = 5", "eta_schedule = constant"]),
         (["cl-dist"], ["eta_schedule = constant"]),
-        (["count"], ["x_min = 0", "calibration_exponent = -3"]),
+        (["count"], ["eta_floor = 0", "calibration_exponent = -3"]),
         (["verify", "table"], ["calibration_exponent = 1/6"]),
         (["period-scan"], ["eta_floor = 3"]),
-        (["predicted-table"], ["x_min = 5"]),
+        (["predicted-table"], ["eta_floor = 5"]),
     ],
 )
 def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lines):
@@ -588,21 +586,21 @@ def test_command_refuses_config_key_it_does_not_read(tmp_path, capsys, args, lin
 def test_print_config_takes_any_known_key(tmp_path, capsys):
     # it only displays settings; the global ones it shows come from the file
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 3\nstride = 5\nx_min = 7\nthreads = 7\n")
+    cfg.write_text("k = 3\nstride = 5\neta_floor = 7\nthreads = 7\n")
     assert main(["print-config", "--config", str(cfg)]) == 0
     assert "threads = 7\n" in capsys.readouterr().out
 
 
 def test_print_config_shows_command_keys_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("x_min = 7\nsamples = 5\n")
+    cfg.write_text("eta_floor = 7\nsamples = 5\n")
     assert main(["print-config", "--config", str(cfg)]) == 0
     shown = {}
     for line in capsys.readouterr().out.splitlines():
         if line.startswith("# "):
             name, _, pairs = line[2:].partition(" defaults: ")
             shown[name] = pairs.split()
-    assert "x_min=7" in shown["simulate"]
+    assert "eta_floor=7" in shown["simulate"]
     for name in ("sha-dist", "cl-dist", "verify", "period-scan"):
         assert "samples=5" in shown[name], name
     # a command that reads neither key keeps its defaults
@@ -642,7 +640,7 @@ _BUDGET = "one draw may take more than 1.5 s"
             "--calibration-exponent",
             "1000",
             "calibration_exponent 1000 gives matrices of size 25151 at height "
-            "1000000000000, with x_min 2 and calibration_exponent 1000 entries of "
+            "1000000000000, with calibration_exponent 1000 entries of "
             f"3 bits; {_BUDGET}",
         ),
         ("--calibration-exponent", "12345/7", f"calibration_exponent 12345/7 {_BOUND}"),
@@ -650,7 +648,7 @@ _BUDGET = "one draw may take more than 1.5 s"
             "--eta-floor",
             "300",
             "eta_floor 300 gives matrices of size 301 at height 1000000000000, "
-            f"with x_min 2 and calibration_exponent 1/12 entries of 2 bits; {_BUDGET}",
+            f"with calibration_exponent 1/12 entries of 2 bits; {_BUDGET}",
         ),
         # Fraction forms 10**100000000 from these strings before any bound
         ("--calibration-exponent", "1e-100000000", f"calibration_exponent 1e-100000000 {_BOUND}"),
@@ -682,13 +680,15 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
 @pytest.mark.parametrize(
     "argv, draw, error",
     [
-        # _schedule_interval forms x_min**(den*eta)
+        # the power term alone: _schedule_interval forms x**(den*eta) at
+        # den*eta = 60000, on 18-bit x, while the rank term is about 7% of
+        # the budget
         (
-            "simulate --h-grid 1e4,1e6,1e8 --curves-per-band 3 --x-min 1e4000 "
-            "--eta-floor 63 --calibration-exponent 1/1000",
+            "simulate --eta-schedule constant --eta-floor 60 --calibration-exponent 999/1000 "
+            "--h-grid 1e306,1e307,1e308 --curves-per-band 1",
             "altrank.model._survey_chunk",
-            "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min "
-            f"of 13288 bits and calibration_exponent 1/1000 entries of 13288 bits; {_BUDGET}",
+            "eta_floor 60 gives matrices of size 61 at height of 1024 bits, with "
+            f"calibration_exponent 999/1000 entries of 18 bits; {_BUDGET}",
         ),
         (
             "sha-dist --n 2001 --r 1 --samples 1",
@@ -707,7 +707,7 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
             "random.Random.getrandbits",
             f"n 8, p 2 and k 100000; {_BUDGET}",
         ),
-        # each lies inside the old per-key bounds on n, k, x_min and the
+        # each lies inside the old per-key bounds on n, k and the
         # survey size, and would not finish: n**3 products of 10000-bit
         # residues, a rank on 422-bit entries at n = 64, and Bareiss on
         # 13288-bit entries at n = 60
@@ -720,8 +720,8 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
             "simulate --eta-schedule constant --eta-floor 63 --calibration-exponent 1000 "
             "--h-grid 1e4,1e6,1e8 --curves-per-band 1",
             "altrank.model._survey_chunk",
-            "eta_floor 63 gives matrices of size 64 at height 100000000, with x_min 2 "
-            f"and calibration_exponent 1000 entries of 422 bits; {_BUDGET}",
+            "eta_floor 63 gives matrices of size 64 at height 100000000, with "
+            f"calibration_exponent 1000 entries of 422 bits; {_BUDGET}",
         ),
         (
             "sha-dist --n 60 --x 1e4000 --samples 3000",
@@ -736,7 +736,7 @@ def test_schedule_that_cannot_finish_exits_2_before_any_chunk(
         ),
     ],
     ids=[
-        "simulate-x_min",
+        "simulate-schedule-power",
         "sha-dist-n-upper",
         "cl-dist-n-list",
         "cl-dist-k-list",
@@ -813,7 +813,6 @@ def test_simulate_takes_the_model_keys_from_flags_and_config(tmp_path):
     model = {
         "eta_schedule": "constant",
         "eta_floor": "3",
-        "x_min": "3",
         "calibration_exponent": "1/10",
     }
     base = ["simulate", "--h-grid", "1e6,1e8,1e10", "--curves-per-band", "30"]
@@ -874,7 +873,7 @@ def test_print_config_writes_nothing(tmp_path, capsys, monkeypatch):
     assert (
         "# simulate defaults: calibration_exponent=1/12 "
         "curves_per_band=10000 eta_floor=2 eta_schedule=log3 "
-        "h_grid=1000000,1000000000000,1000000000000000000 x_min=2\n"
+        "h_grid=1000000,1000000000000,1000000000000000000\n"
     ) in text
     assert list(tmp_path.iterdir()) == []
 
@@ -905,6 +904,25 @@ def test_simulate_has_no_chunk_flag_or_config_key(tmp_path, capsys, monkeypatch)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'chunk'"]
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_simulate_has_no_x_min_flag_or_config_key(tmp_path, capsys, monkeypatch):
+    # the entry bound comes from the schedule alone: argparse refuses the
+    # flag, the config file the key, and ModelConfig the field
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        main(["simulate", "--x-min", "3"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1] == "altrank: error: unrecognized arguments: --x-min 3"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x_min = 3\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'x_min'"]
+    assert list(tmp_path.iterdir()) == [cfg]
+    with pytest.raises(TypeError):
+        altrank.settings.ModelConfig(x_min=3)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ _VALUES = {
         "curves_per_band": (["1", "3", "5"], ["0", "-3"]),
         "eta_schedule": (["log3", "constant"], ["log2"]),
         "eta_floor": (["1", "2", "4"], ["0", "-1", "64", "300"]),
-        "x_min": (["2", "3", "1e3"], ["1", "0", "-2", "1000000000001", "9e4299"]),
         "calibration_exponent": (
             ["1/12", "1/6", "5/36", "1e-1", "1000/999"],
             ["0", "-1", "1/0", "1/1000000000", "12345/7", "1000", "1e-100000000"],
@@ -126,7 +125,7 @@ def invocations(draw):
         if where != "flag":
             lines.append(f"{key} = {value}")
     # now and then a line the command does not read, or cannot parse
-    extras = ["volume = 11", "samples = 5", "k = 3", "x_min = 5", "no equals sign"]
+    extras = ["volume = 11", "samples = 5", "k = 3", "eta_floor = 5", "no equals sign"]
     extra = draw(st.sampled_from([None] * 6 + extras))
     if extra:
         lines.insert(draw(st.integers(0, len(lines))), extra)

@@ -458,8 +458,8 @@ SCHEDULE_CONFIGS = [
     ModelConfig(calibration_exponent="1/6"),
     ModelConfig(eta_schedule="constant"),
     ModelConfig(eta_schedule="constant", eta_floor=3, calibration_exponent="1/6"),
-    ModelConfig(eta_floor=4, x_min=3),
-    ModelConfig(eta_floor=1, x_min=7, calibration_exponent="1/6"),
+    ModelConfig(eta_floor=4),
+    ModelConfig(eta_floor=1, calibration_exponent="1/6"),
     # numerator > 1: the interval ends are roots of the T-interval ends
     ModelConfig(calibration_exponent="5/36"),
 ]
@@ -477,9 +477,15 @@ def test_schedule_interval_is_exact(h, cfg):
     assert _schedule_pair(h, cfg) == (eta, x)
     assert _schedule_pair(hi, cfg) == (eta, x)
     assert _schedule_pair(hi + 1, cfg) != (eta, x)
-    if lo:  # lo = 0: no lower end
-        assert _schedule_pair(lo, cfg) == (eta, x)
-        assert _schedule_pair(lo - 1, cfg) != (eta, x)
+    assert _schedule_pair(lo, cfg) == (eta, x)
+    assert _schedule_pair(lo - 1, cfg) != (eta, x)
+
+
+@given(st.integers(MIN_HEIGHT, 10**300), st.sampled_from(SCHEDULE_CONFIGS))
+def test_schedule_x_is_at_least_2(h, cfg):
+    # so every x interval ((x-1)**d, x**d] of _schedule_interval has a
+    # lower end, and no clamp below x is needed
+    assert schedule_x(h, schedule_eta(h, cfg), cfg) >= 2
 
 
 def _public_survey(cap, cfg, seed, draws):
@@ -520,7 +526,7 @@ def test_survey_chunk_matches_public_draws(monkeypatch):
         (3**37 // 2, ModelConfig(seed=9), True, 600),
         (3 * 2**23, ModelConfig(seed=12), True, 600),
         (10**6, ONE_HEIGHT_INTERVALS, True, 200),
-        (10**9, ModelConfig(seed=10, calibration_exponent="1/6", x_min=3), False, 600),
+        (10**9, ModelConfig(seed=10, calibration_exponent="1/6"), False, 600),
         (10**29, ModelConfig(seed=11), False, 600),
         (10**5, ModelConfig(seed=13, eta_schedule="constant", eta_floor=1), False, 600),
     ]:
@@ -629,7 +635,7 @@ def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(eta_schedule="sqrt")
     with pytest.raises(ValueError):
-        ModelConfig(x_min=1)
+        ModelConfig(eta_floor=0)
     cfg = ModelConfig(calibration_exponent="1/6")
     assert cfg.calibration_exponent == Fraction(1, 6)
 
@@ -699,6 +705,27 @@ def test_model_params_rejects_small_height():
         model_params(50, CFG, Random(0))
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: rank_survey([1e3, 1e6, 1e12], 200, CFG), "grid height must be an int, got 1000.0"),
+        (
+            lambda: rank_survey([10**3, 10**6, 10**12], 5.0, CFG),
+            "curves_per_band must be an int, got 5.0",
+        ),
+        (lambda: model_params(1e6, CFG, Random(0)), "height must be an int, got 1000000.0"),
+        (lambda: sample_curve_in_band(1e6, Random(0)), "band top must be an int, got 1000000.0"),
+        (lambda: draw_model(1e6, CFG, Random(0)), "height must be an int, got 1000000.0"),
+    ],
+    ids=["survey-grid", "survey-curves", "model-params", "curve-in-band", "draw-model"],
+)
+def test_float_heights_are_refused_by_name(call, error):
+    # a float is not rounded to an int height: int(1e24) is 999999999999999983222784
+    with pytest.raises(TypeError) as refused:
+        call()
+    assert str(refused.value) == error
+
+
 # ---------------------------------------------------------------------------
 # matrix draws and model draws
 
@@ -759,10 +786,10 @@ def test_draw_model_parity_split():
 
 
 def test_rank_one_probability_limit_sense():
-    # with a large forced entry bound the even-n draw is almost never
-    # singular, so P(rk' >= 1) approaches the odd-n frequency 1/2
+    # with a large entry bound (x = 178 at 1e6) the even-n draw is almost
+    # never singular, so P(rk' >= 1) approaches the odd-n frequency 1/2
     rng = Random(36)
-    cfg = ModelConfig(eta_schedule="constant", x_min=200)
+    cfg = ModelConfig(eta_schedule="constant", calibration_exponent="3/4")
     hits = 0
     total = 20000
     for _ in range(total):

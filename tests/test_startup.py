@@ -119,7 +119,7 @@ threads = 1
 # period-scan defaults: h_max=10000000000 h_min=10000 samples=1000
 # predicted-table defaults: h_list=10000000000,100000000000,1000000000000,10000000000000,100000000000000,1000000000000000
 # sha-dist defaults: method=exact n=10 p=2 r=0 samples=10000 x=10000
-# simulate defaults: calibration_exponent=1/12 curves_per_band=10000 eta_floor=2 eta_schedule=log3 h_grid=1000000,1000000000000,1000000000000000000 x_min=2
+# simulate defaults: calibration_exponent=1/12 curves_per_band=10000 eta_floor=2 eta_schedule=log3 h_grid=1000000,1000000000000,1000000000000000000
 # verify defaults: samples=1000 stride=211
 """
 

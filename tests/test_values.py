@@ -98,16 +98,15 @@ CASES = [
         {
             "eta_schedule": "constant",
             "eta_floor": 3,
-            "x_min": 4,
             "calibration_exponent": Fraction(1, 6),
             "seed": 7,
         },
-        "ModelConfig(eta_schedule='constant', eta_floor=3, x_min=4, "
+        "ModelConfig(eta_schedule='constant', eta_floor=3, "
         "calibration_exponent=Fraction(1, 6), seed=7)",
         [
             ({"calibration_exponent": 0.5}, TypeError, "must be exact"),
             ({"eta_schedule": "log2"}, ValueError, "unknown eta schedule 'log2'"),
-            ({"x_min": 1}, ValueError, "x_min must be at least 2"),
+            ({"eta_floor": 0}, ValueError, "eta_floor must be at least 1"),
         ],
     ),
     (
@@ -178,7 +177,7 @@ def test_value_class_contract(cls, fields, text, bad):
 def test_value_class_defaults_and_coercions():
     cfg = ModelConfig()
     assert repr(cfg) == (
-        "ModelConfig(eta_schedule='log3', eta_floor=2, x_min=2, "
+        "ModelConfig(eta_schedule='log3', eta_floor=2, "
         "calibration_exponent=Fraction(1, 12), seed=12345)"
     )
     # the class attributes are the defaults, as the CLI reads them
