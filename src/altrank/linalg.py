@@ -235,62 +235,78 @@ def pfaffian(a: AlternatingMatrix) -> int:
     """Integer Pfaffian; satisfies pfaffian(a)**2 == det(a).
 
     Odd dimension returns 0 by convention (odd alternating matrices are
-    singular).  Uses memoized expansion along the first remaining index.
+    singular).  Read off _alternating_elimination in O(n**3) steps.
     """
-    n = a.n
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-    up = a.upper
-    memo: dict = {}
+    return _alternating_elimination(a.n, a.upper)[1]
 
-    def pf(idx):
-        if len(idx) == 2:
-            return up[_upper_index(n, idx[0], idx[1])]
-        val = memo.get(idx)
-        if val is not None:
-            return val
-        i0 = idx[0]
-        rest = idx[1:]
-        total = 0
-        sign = 1
-        for u in range(len(rest)):
-            # pair i0 with rest[u]; sign alternates with the gap size
-            aij = up[_upper_index(n, i0, rest[u])]
-            if aij:
-                total += sign * aij * pf(rest[:u] + rest[u + 1 :])
+
+def _alternating_elimination(n: int, upper) -> tuple:
+    """(rank, Pfaffian) of the n x n alternating matrix with these upper
+    entries; the Pfaffian is 0 below full rank, so for odd n too.
+
+    The Pfaffian form of Bareiss (1968): each step pivots on the first
+    nonzero a_ij (i < j) of the live indices, drops i and j, and sets each
+    remaining a_kl (k < l) to (a_ij*a_kl - a_ik*a_jl + a_il*a_jk) / d, d the
+    previous pivot (1 at first).  By the Pfaffian Sylvester identity (Knuth,
+    "Overlapping Pfaffians", 1996) a_kl is then the Pfaffian on the pivots
+    so far and k, l, in that order, so the division is exact and the rest
+    is the pivot times a Schur complement: the rank is the number of
+    indices dropped when it vanishes.  At full rank the last pivot is the
+    Pfaffian up to the sign of that order, (-1)**(s + t - 1) per step for
+    pivot positions s < t in the live list.
+    """
+    a = list(upper)
+    pos = _upper_positions(n)
+    live = list(range(n))
+    sign = d = 1
+    while True:
+        piv = 0
+        for s in range(len(live) - 1):
+            pi = pos[live[s]]
+            for t in range(s + 1, len(live)):
+                piv = a[pi[live[t]]]
+                if piv:
+                    break
+            if piv:
+                break
+        if not piv:
+            break
+        i, j = live[s], live[t]
+        if (s + t - 1) & 1:
             sign = -sign
-        memo[idx] = total
-        return total
+        del live[t], live[s]
+        # rows i and j of the remaining columns: a_ik and a_jk
+        pi, pj = pos[i], pos[j]
+        xs = [a[pi[k]] if i < k else -a[pos[k][i]] for k in live]
+        ys = [a[pj[k]] if j < k else -a[pos[k][j]] for k in live]
+        for s in range(len(live) - 1):
+            pk = pos[live[s]]
+            x, y = xs[s], ys[s]
+            for t in range(s + 1, len(live)):
+                e = pk[live[t]]
+                a[e] = (piv * a[e] - x * ys[t] + xs[t] * y) // d
+        d = piv
+    return n - len(live), 0 if live else sign * d
 
-    return pf(tuple(range(n)))
 
-
-def _pf4_table(n: int) -> tuple:
-    """Flat upper indices (ij, kl, ik, jl, il, jk) of every 4x4 principal
-    minor i < j < k < l of an n x n alternating matrix, in combinations
-    order; its Pfaffian is a_ij*a_kl - a_ik*a_jl + a_il*a_jk."""
-    return tuple(
-        tuple(
-            _upper_index(n, s, t)
-            for s, t in ((i, j), (k, l), (i, k), (j, l), (i, l), (j, k))
-        )
-        for i, j, k, l in combinations(range(n), 4)
+# flat upper indices (ij, kl, ik, jl, il, jk) of every 4x4 principal minor
+# i < j < k < l of a 5x5 alternating matrix, whose Pfaffian is
+# a_ij*a_kl - a_ik*a_jl + a_il*a_jk
+_PF4_5 = tuple(
+    tuple(
+        _upper_index(5, s, t)
+        for s, t in ((i, j), (k, l), (i, k), (j, l), (i, l), (j, k))
     )
-
-
-_PF4_5 = _pf4_table(5)
-_PF4_6 = _pf4_table(6)
+    for i, j, k, l in combinations(range(5), 4)
+)
 
 
 def _alternating_rank(n: int, upper) -> int:
     """Rank of an alternating matrix given its upper entries.
 
-    n <= 6 walks the principal-Pfaffian ladder (rank equals the largest
+    n <= 5 walks the principal-Pfaffian ladder (rank equals the largest
     2m with a nonvanishing principal 2m-Pfaffian), reading the 4x4
-    Pfaffians through index tables. Larger n falls back to fraction-free
-    elimination on the full matrix.
+    Pfaffians through an index table; larger n runs _alternating_elimination.
     """
     if not any(upper):
         return 0
@@ -299,15 +315,9 @@ def _alternating_rank(n: int, upper) -> int:
     u = upper
     if n == 4:
         return 4 if u[0] * u[5] - u[1] * u[4] + u[2] * u[3] else 2
-    if n == 5:
-        quads = _PF4_5
-    elif n == 6:
-        if pfaffian(AlternatingMatrix(6, tuple(upper))):
-            return 6
-        quads = _PF4_6
-    else:
-        return _rank_rows(_alternating_rows(n, upper), n, n)[0]
-    for a, b, c, d, e, f in quads:
+    if n > 5:
+        return _alternating_elimination(n, upper)[0]
+    for a, b, c, d, e, f in _PF4_5:
         if u[a] * u[b] - u[c] * u[d] + u[e] * u[f]:
             return 4
     return 2
@@ -707,14 +717,14 @@ def _corank_p_exponents(n: int, upper, p: int, r: int):
     which holds for r = 0, for r = 1 with n odd (an odd alternating
     matrix is singular), and for r = kernel_rank.
 
-    _alternating_valuations_mod runs modulo p**10, then p**20, p**40,
-    ...  Every int it returns is the exact valuation of a nonzero
-    invariant factor, so it returns at least corank Nones, and exactly r
-    Nones certify corank r and give every valuation.  At more than r
-    Nones the corank is computed once by elimination: if it is not r the
-    answer is None, and otherwise the precision rises until only r Nones
-    are left, which ends because a nonzero invariant factor has a finite
-    valuation.
+    _alternating_valuations_mod runs modulo p**10, then p**20, p**40, ...
+    Every int it returns is the exact valuation of a nonzero invariant
+    factor, so it returns at least corank Nones, and exactly r Nones
+    certify corank r and give every valuation.  At more than r Nones
+    _alternating_rank (above n = 5, _alternating_elimination) gives the
+    corank once: if it is not r the answer is None, and otherwise the
+    precision rises until only r Nones are left, which ends because a
+    nonzero invariant factor has a finite valuation.
     """
     prec = 10
     vals = _alternating_valuations_mod(n, upper, p, prec)

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -12,6 +13,7 @@ from altrank.groups import AbelianPGroup
 from altrank.linalg import (
     AlternatingMatrix,
     IntegerMatrix,
+    _alternating_elimination,
     _alternating_rank,
     _alternating_rows,
     _alternating_valuations_mod,
@@ -187,13 +189,23 @@ def test_pfaffian_matches_permutation_sum():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=3), st.data())
+@given(st.integers(min_value=0, max_value=6), st.data())
 def test_pfaffian_squared_is_determinant(half, data):
     n = 2 * half
     m = n * (n - 1) // 2
     upper = data.draw(st.tuples(*[st.integers(-30, 30)] * m))
     a = AlternatingMatrix(n, upper)
     assert pfaffian(a) ** 2 == determinant(a.to_integer_matrix())
+
+
+def test_pfaffian_of_a_40x40_matrix_is_fast():
+    # the elimination takes O(n**3) steps; an expansion by minors would
+    # not finish at this size
+    a = random_alternating(40, 9, Random(40))
+    start = time.perf_counter()
+    pf = pfaffian(a)
+    assert time.perf_counter() - start < 1.0
+    assert pf**2 == determinant(a.to_integer_matrix())
 
 
 def test_kernel_rank_matches_sympy():
@@ -212,22 +224,30 @@ def test_alternating_rank_always_even():
             assert (n - kernel_rank(a)) % 2 == 0
 
 
-@given(
-    st.sampled_from((5, 6)).flatmap(
-        lambda n: st.sampled_from((2, 10**4)).flatmap(
-            lambda x: st.lists(
-                st.integers(-x, x),
-                min_size=n * (n - 1) // 2,
-                max_size=n * (n - 1) // 2,
-            ).map(lambda upper: (n, upper))
-        )
-    )
-)
+@st.composite
+def wedge_sums(draw):
+    """(n, upper) of a sum of k wedges u ^ v, 5 <= n <= 12, k <= n // 2,
+    so every even rank up to n occurs; entries of u, v in [-x, x]."""
+    n = draw(st.integers(min_value=5, max_value=12))
+    x = draw(st.sampled_from((2, 10**4, 10**12)))
+    vector = st.lists(st.integers(-x, x), min_size=n, max_size=n)
+    upper = [0] * (n * (n - 1) // 2)
+    for _ in range(draw(st.integers(min_value=0, max_value=n // 2))):
+        u, v = draw(vector), draw(vector)
+        for e, (i, j) in enumerate(combinations(range(n), 2)):
+            upper[e] += u[i] * v[j] - u[j] * v[i]
+    return n, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(wedge_sums())
 def test_pfaffian_ladder_equals_elimination(matrix):
-    # the index-table ladder of n = 5 and 6 against Bareiss elimination
+    # the index-table ladder of n = 5 and the 2x2-pivot elimination
+    # against Bareiss elimination on the dense rows
     n, upper = matrix
     want = _rank_rows(_alternating_rows(n, upper), n, n)[0]
     assert _alternating_rank(n, upper) == want
+    assert _alternating_elimination(n, upper)[0] == want
 
 
 def test_pfaffian_ladder_exhaustive_small_entries():
@@ -612,17 +632,37 @@ def test_alternating_valuations_leave_input_unchanged():
 
 
 def test_corank_route_never_forms_dense_rows(monkeypatch):
-    # the corank check of the second call ranks n = 3 by the Pfaffian
-    # ladder; only n > 6 would rank by elimination on dense rows
+    # alternating rank runs the Pfaffian ladder up to n = 5 and the
+    # 2x2-pivot elimination above it, and pfaffian the same elimination:
+    # none of them forms dense rows
     import altrank.linalg as linalg
+
+    rng = Random(33)
+    while True:  # a draw whose certificate mod 2**10 fails, so it is ranked
+        upper10 = [rng.randint(-1, 1) for _ in range(45)]
+        if _alternating_valuations_mod(10, upper10, 2, 10).count(None):
+            break
+    corank10 = 10 - _rank_rows(_alternating_rows(10, upper10), 10, 10)[0]
+    a8 = random_alternating(8, 9, rng)
+    corank8 = 8 - _rank_rows(_alternating_rows(8, a8.upper), 8, 8)[0]
+    det8 = determinant(a8.to_integer_matrix())
+    # invariant factors 1, 1, 1, 1, 2**12, 2**12, 0: three Nones mod 2**10
+    up7 = [
+        {(0, 1): 2**12, (2, 3): 1, (4, 5): 1}.get(ij, 0)
+        for ij in combinations(range(7), 2)
+    ]
 
     def refuse(*args):
         raise AssertionError("dense route called")
 
-    monkeypatch.setattr(linalg, "_alternating_rows", refuse)
-    monkeypatch.setattr(linalg, "diag_valuations_mod", refuse)
+    for name in ("_alternating_rows", "_rank_rows", "diag_valuations_mod"):
+        monkeypatch.setattr(linalg, name, refuse)
     assert _corank_p_exponents(4, [2, 0, 0, 0, 0, 2], 2, 0) == [1, 1, 1, 1]
     assert _corank_p_exponents(3, [2**12, 0, 0], 2, 1) == [12, 12]
+    assert _corank_p_exponents(7, up7, 2, 1) == [12, 12]
+    assert (_corank_p_exponents(10, upper10, 2, 0) is None) == (corank10 > 0)
+    assert kernel_rank(a8) == corank8
+    assert pfaffian(a8) ** 2 == det8
 
 
 # ---------------------------------------------------------------------------
