@@ -276,10 +276,11 @@ def _count_worker(spec):
 
 
 def cmd_count(settings, emitter) -> int:
-    from .counting import census_cells, fit_census
+    from .counting import census_cells, check_census_rank, fit_census
 
     n, r, norm = settings["n"], settings["r"], settings["norm"]
     bounds = settings["bounds"]
+    check_census_rank(n, r)
     for b in bounds:
         census_cells(n, b, norm)  # refuse an oversized census before any runs
     histograms = map_chunks(

@@ -28,6 +28,7 @@ __all__ = [
     "LatticeBasis",
     "CountFit",
     "census_cells",
+    "check_census_rank",
     "count_alternating_by_rank",
     "fit_census",
     "fit_counting_exponent",
@@ -136,7 +137,6 @@ def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHist
                 counts[_alternating_rank(n, upper)] += 1
         return RankHistogram(n, bound, norm, {k: v for k, v in counts.items() if v})
 
-    budget = (bound * bound - 1) // 2
     counts = Counter()
     upper = [0] * m
 
@@ -150,10 +150,7 @@ def count_alternating_by_rank(n: int, bound: int, norm: str = "box") -> RankHist
             rec(idx + 1, rem - v * v)
         upper[idx] = 0
 
-    if m == 0:
-        counts[0] += 1
-    else:
-        rec(0, budget)
+    rec(0, (bound * bound - 1) // 2)  # |A| < bound: 2 * sum a_ij**2 <= bound**2 - 1
     return RankHistogram(n, bound, norm, dict(counts))
 
 
@@ -182,10 +179,17 @@ def fit_census(points) -> CountFit:
     )
 
 
+def check_census_rank(n: int, r: int) -> None:
+    """Refuse a rank r outside 0..n, for n >= 0 (census_cells refuses n < 0)."""
+    if n >= 0 and not 0 <= r <= n:
+        raise ValueError(f"rank r must lie in 0..{n}, got {r}")
+
+
 def fit_counting_exponent(n: int, r: int, bounds, norm: str = "l2") -> CountFit:
     """fit_census of the rank-r census: l2 mode counts matrices of rank
     exactly r (expected slope n*r/2), box mode rank <= r (expected slope
     n*(n-r)/2)."""
+    check_census_rank(n, r)
     return fit_census(
         [(b, count_alternating_by_rank(n, b, norm).fit_count(r)) for b in bounds]
     )

@@ -237,12 +237,13 @@ def pfaffian(a: AlternatingMatrix) -> int:
     Odd dimension returns 0 by convention (odd alternating matrices are
     singular).  Read off _alternating_elimination in O(n**3) steps.
     """
-    return _alternating_elimination(a.n, a.upper)[1]
+    r, pf = _alternating_elimination(a.n, a.upper)
+    return pf if r == a.n else 0
 
 
 def _alternating_elimination(n: int, upper) -> tuple:
-    """(rank, Pfaffian) of the n x n alternating matrix with these upper
-    entries; the Pfaffian is 0 below full rank, so for odd n too.
+    """(rank, pf) of the alternating matrix with these upper entries: pf =
+    +-Pf_S != 0, the Pfaffian on the pivot set S (1 at rank 0); Pf at full rank.
 
     The Pfaffian form of Bareiss (1968): each step pivots on the first
     nonzero a_ij (i < j) of the live indices, drops i and j, and sets each
@@ -251,9 +252,9 @@ def _alternating_elimination(n: int, upper) -> tuple:
     "Overlapping Pfaffians", 1996) a_kl is then the Pfaffian on the pivots
     so far and k, l, in that order, so the division is exact and the rest
     is the pivot times a Schur complement: the rank is the number of
-    indices dropped when it vanishes.  At full rank the last pivot is the
-    Pfaffian up to the sign of that order, (-1)**(s + t - 1) per step for
-    pivot positions s < t in the live list.
+    indices dropped when it vanishes.  The last pivot is Pf_S up to the
+    sign of that order, (-1)**(s + t - 1) per step for pivot positions
+    s < t in the live list, which pf carries.
     """
     a = list(upper)
     pos = _upper_positions(n)
@@ -286,7 +287,7 @@ def _alternating_elimination(n: int, upper) -> tuple:
                 e = pk[live[t]]
                 a[e] = (piv * a[e] - x * ys[t] + xs[t] * y) // d
         d = piv
-    return n - len(live), 0 if live else sign * d
+    return n - len(live), sign * d
 
 
 # flat upper indices (ij, kl, ik, jl, il, jk) of every 4x4 principal minor
@@ -446,11 +447,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     divisors = _smith_core(rows, nr, nc)
     U = [row[nc:] for row in rows[:nr]]
     V = rows[nr:]
-    return SmithDecomposition(
-        U=IntegerMatrix.from_rows(U) if U else IntegerMatrix(0, 0, ()),
-        V=IntegerMatrix.from_rows(V) if V else IntegerMatrix(0, 0, ()),
-        divisors=divisors,
-    )
+    return SmithDecomposition(IntegerMatrix.from_rows(U), IntegerMatrix.from_rows(V), divisors)
 
 
 def smith_divisors(m) -> tuple:
@@ -717,21 +714,19 @@ def _corank_p_exponents(n: int, upper, p: int, r: int):
     which holds for r = 0, for r = 1 with n odd (an odd alternating
     matrix is singular), and for r = kernel_rank.
 
-    _alternating_valuations_mod runs modulo p**10, then p**20, p**40, ...
-    Every int it returns is the exact valuation of a nonzero invariant
-    factor, so it returns at least corank Nones, and exactly r Nones
-    certify corank r and give every valuation.  At more than r Nones
-    _alternating_rank (above n = 5, _alternating_elimination) gives the
-    corank once: if it is not r the answer is None, and otherwise the
-    precision rises until only r Nones are left, which ends because a
-    nonzero invariant factor has a finite valuation.
+    _alternating_valuations_mod runs modulo p**10.  Its ints are the exact
+    valuations of nonzero invariant factors, so at least corank Nones are
+    left, and exactly r certify corank r.  At more than r, one
+    _alternating_elimination rejects the draw unless its corank is r; its
+    pf, a principal Pfaffian of size the rank, is a multiple of their gcd
+    e_1 * ... * e_m for the factors e_1, e_1, ..., e_m, e_m, which
+    congruence keeps (Newman, Integral Matrices, IV), so one more pass
+    modulo p**(v_p(pf) + 1) leaves exactly r Nones.
     """
-    prec = 10
-    vals = _alternating_valuations_mod(n, upper, p, prec)
+    vals = _alternating_valuations_mod(n, upper, p, 10)
     if vals.count(None) > r:
-        if n - _alternating_rank(n, upper) != r:
+        rank, pf = _alternating_elimination(n, upper)
+        if n - rank != r:
             return None
-        while vals.count(None) > r:
-            prec *= 2
-            vals = _alternating_valuations_mod(n, upper, p, prec)
+        vals = _alternating_valuations_mod(n, upper, p, _p_valuation(pf, p) + 1)
     return [v for v in vals if v]

@@ -411,11 +411,11 @@ def draw_model(height: int, cfg: ModelConfig, rng: Random) -> ModelDraw:
 
 
 def _check_draw_cost(keys: str, values, *eliminations) -> None:
-    """Refuse a draw whose eliminations (n, b) pass DRAW_BUDGET steps, in
-    ints: an n x n elimination on entries of about b bits (or work that
-    costs as much) takes n**3 * (1 + b / 300)**2 steps of about 0.1 us.
+    """Refuse a draw whose eliminations (s, b) pass DRAW_BUDGET steps, in
+    ints: s steps on entries of about b bits (a dense n x n elimination is
+    s = n**3) take s * (1 + b / 300)**2 steps of about 0.1 us.
     keys.format(*values) names the keys, an int past 2**100 by its bits."""
-    if sum(n**3 * (300 + b) ** 2 for n, b in eliminations) > DRAW_BUDGET * 300**2:
+    if sum(s * (300 + b) ** 2 for s, b in eliminations) > DRAW_BUDGET * 300**2:
         vs = (f"of {v.bit_length()} bits" if isinstance(v, int) and v >> 100 else v for v in values)
         raise ValueError(f"{keys.format(*vs)}; one draw may take more than {DRAW_BUDGET / 1e7:g} s")
 
@@ -489,9 +489,9 @@ def check_sha_distribution(n: int, x: int, r: int, p: int, samples: int) -> None
     if n < 0:
         # no draw would refuse it: n(n-1)/2 is positive at n < 0
         raise ValueError("dimension must be nonnegative")
-    # the kernel mod p**10 costs as half its size (2 x 2 pivots); Bareiss averages n*bits(x)/3 bits
-    kernel = ((n + 1) // 2, 10 * (p - 1).bit_length())
-    _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n, n * x.bit_length() // 3))
+    # kernel mod p**10 at half its size, rank at a quarter of Bareiss (2 x 2 pivots), b = n*bits(x)/3
+    kernel = (((n + 1) // 2) ** 3, 10 * (p - 1).bit_length())
+    _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n**3 // 4, n * x.bit_length() // 3))
 
 
 def empirical_sha_distribution(
@@ -570,7 +570,7 @@ def check_cl_distribution(n: int, p: int, k: int, samples: int) -> None:
         raise ValueError("need at least one sample")
     # the first elimination mod p**k, of log2(p) bits a digit rounded up (exact at p = 2),
     # and its pivot inverses (n + 2); about 1 draw in 120 refines
-    _check_draw_cost("n {}, p {} and k {}", (n, p, k), (n + 2, k * (p - 1).bit_length()))
+    _check_draw_cost("n {}, p {} and k {}", (n, p, k), ((n + 2) ** 3, k * (p - 1).bit_length()))
 
 
 def empirical_cl_distribution(
@@ -773,7 +773,7 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
         key + " {} gives matrices of size {} at height {}, with "
         "calibration_exponent {} entries of {} bits",
         (getattr(cfg, key), eta + 1, h_grid[-1], cfg.calibration_exponent, bits),
-        (eta + 1, (eta + 1) * bits // 3),
+        ((eta + 1) ** 3 // 4, (eta + 1) * bits // 3),
         (1, den * eta * bits * (12 if num > 2 else 1) // 4),
     )
     specs = [

@@ -91,8 +91,8 @@ class ModelConfig:
 
     The numerator and denominator of calibration_exponent are at most
     MAX_CALIBRATION_TERM (1000).  rank_survey refuses a schedule whose
-    top-height rank (n = eta + 1, b = n * bits(x) / 3) and power
-    x**(den*eta) (n = 1) pass DRAW_BUDGET at n**3 * (1 + b / 300)**2 steps.
+    top-height rank (s = n**3 / 4 at n = eta + 1, b = n * bits(x) / 3) and
+    power x**(den*eta) (s = 1) pass DRAW_BUDGET at s * (1 + b / 300)**2 steps.
     """
 
     eta_schedule: str = "log3"

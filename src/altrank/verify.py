@@ -210,8 +210,8 @@ def snf(settings):
         for flat in iproduct(range(-2, 3), repeat=cells):
             rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
             one(rows, n, with_oracle=True)
-    # every stride-th 3 x 3 matrix, skipped over in C
-    for flat in islice(iproduct(range(-2, 3), repeat=9), 0, None, stride):
+    # every stride-th 3 x 3 matrix, skipped over in C; from 5**9 on, only the first
+    for flat in islice(iproduct(range(-2, 3), repeat=9), 0, None, min(stride, 5**9)):
         rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
         one(rows, 3, with_oracle=True)
 

@@ -758,6 +758,73 @@ def test_size_that_cannot_finish_exits_2_before_any_draw(
     assert list(tmp_path.iterdir()) == []
 
 
+class _Drew(Exception):
+    """Raised by a stubbed draw: the run passed every check before it."""
+
+
+@pytest.mark.parametrize(
+    "accepted, refused, error",
+    [
+        # the rank is priced as its 2x2-pivot elimination, a quarter of
+        # dense Bareiss: one draw at n = 164 takes about 0.7 s
+        ("sha-dist --n 164 --r 0", "sha-dist --n 166 --r 0", "n 166, x 10000 and p 2"),
+        ("sha-dist --n 165 --r 1", "sha-dist --n 167 --r 1", "n 167, x 10000 and p 2"),
+        # at n = 10 the 4300-digit bound on integers binds first
+        (
+            "sha-dist --n 12 --x 1e4184",
+            "sha-dist --n 12 --x 1e4185",
+            "n 12, x of 13903 bits and p 2",
+        ),
+        (
+            "simulate --eta-floor 282",
+            "simulate --eta-floor 283",
+            "eta_floor 283 gives matrices of size 284 at height 1000000000000000000, "
+            "with calibration_exponent 1/12 entries of 2 bits",
+        ),
+        (
+            "simulate --calibration-exponent 3/1000 --eta-floor 175 --h-grid 1e306,1e307,1e308",
+            "simulate --calibration-exponent 3/1000 --eta-floor 176 --h-grid 1e306,1e307,1e308",
+            "eta_floor 176 gives matrices of size 177 at height of 1024 bits, "
+            "with calibration_exponent 3/1000 entries of 2 bits",
+        ),
+    ],
+    ids=["sha-dist-n-r0", "sha-dist-n-r1", "sha-dist-x", "simulate-eta-floor", "simulate-power"],
+)
+def test_budget_edge_accepts_and_refuses_one_size_up(
+    tmp_path, capsys, monkeypatch, accepted, refused, error
+):
+    def drew(*args):
+        raise _Drew
+
+    monkeypatch.setattr(altrank.model, "_survey_chunk", drew)
+    monkeypatch.setattr(altrank.model, "_alternating_upper", drew)
+    tail = ["--samples" if "sha-dist" in accepted else "--curves-per-band", "1"]
+    with pytest.raises(_Drew):
+        main(accepted.split() + tail + ["--out", str(tmp_path / "ok")])
+    assert main(refused.split() + tail + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}; {_BUDGET}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "r, error",
+    [("4", "rank r must lie in 0..3, got 4"), ("-1", "rank r must lie in 0..3, got -1")],
+)
+def test_count_rank_outside_0_to_n_exits_2_before_any_census(
+    tmp_path, capsys, monkeypatch, r, error
+):
+    def no_census(*args):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(altrank.counting, "count_alternating_by_rank", no_census)
+    argv = ["count", "--n", "3", "--r", r, "--norm", "box", "--bounds", "1..6"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match=error):
+        altrank.counting.fit_counting_exponent(3, int(r), range(1, 7), "box")
+
+
 @pytest.mark.parametrize("argv", ["sha-dist --n -2 --r 0", "sha-dist --n -1 --r 1"])
 def test_negative_sha_size_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, argv):
     # n(n-1)/2 entries is a positive count at n < 0, so only the size

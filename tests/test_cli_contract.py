@@ -62,7 +62,7 @@ _VALUES = {
     "verify": {
         "samples": (["1", "3"], ["0", "-4"]),
         # stride 7 would check a seventh of the 5**9 matrices, for minutes
-        "stride": (["1e5", "1e9"], ["0", "-1"]),
+        "stride": (["1e5", "1e9", "1e30"], ["0", "-1"]),
     },
     "period-scan": {
         # from h_min 200 the scan reaches the empty bands of caps 216-242

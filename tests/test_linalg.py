@@ -250,6 +250,26 @@ def test_pfaffian_ladder_equals_elimination(matrix):
     assert _alternating_elimination(n, upper)[0] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(wedge_sums(), st.sampled_from((2, 3, 5)), st.sampled_from((0, 10, 25)))
+def test_pivot_pfaffian_bounds_every_valuation(matrix, p, shift):
+    # pf is a nonzero principal Pfaffian of size the rank, a multiple of
+    # the product of the paired invariant factors, so the kernel modulo
+    # p**(v_p(pf) + 1) leaves only the corank's Nones
+    n, upper = matrix
+    upper = [v * p**shift for v in upper]
+    r, pf = _alternating_elimination(n, upper)
+    assert pf
+    if r == n:
+        assert pf**2 == determinant(AlternatingMatrix(n, upper).to_integer_matrix())
+    assert pfaffian(AlternatingMatrix(n, upper)) == (pf if r == n else 0)
+    divisors = smith_divisors(AlternatingMatrix(n, upper))
+    assert sum(1 for d in divisors if d) == r
+    got = _alternating_valuations_mod(n, upper, p, _p_valuation(pf, p) + 1)
+    assert got.count(None) == n - r
+    assert [v for v in got if v is not None] == [_p_valuation(d, p) for d in divisors if d]
+
+
 def test_pfaffian_ladder_exhaustive_small_entries():
     # every n = 5 matrix with entries in {-1, 0, 1}: rank 4 found through
     # one minor only is rare in a random sample
@@ -657,10 +677,28 @@ def test_corank_route_never_forms_dense_rows(monkeypatch):
 
     for name in ("_alternating_rows", "_rank_rows", "diag_valuations_mod"):
         monkeypatch.setattr(linalg, name, refuse)
-    assert _corank_p_exponents(4, [2, 0, 0, 0, 0, 2], 2, 0) == [1, 1, 1, 1]
-    assert _corank_p_exponents(3, [2**12, 0, 0], 2, 1) == [12, 12]
-    assert _corank_p_exponents(7, up7, 2, 1) == [12, 12]
-    assert (_corank_p_exponents(10, upper10, 2, 0) is None) == (corank10 > 0)
+    # the route runs in fixed steps: a kernel pass, and at most one
+    # elimination and one more pass
+    calls = []
+    for name in ("_alternating_valuations_mod", "_alternating_elimination"):
+        def counted(*args, name=name, run=getattr(linalg, name)):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+
+    def route(*args):
+        calls.clear()
+        out = _corank_p_exponents(*args)
+        assert calls.count("_alternating_valuations_mod") <= 2
+        assert calls.count("_alternating_elimination") <= 1
+        return out
+
+    assert route(4, [2, 0, 0, 0, 0, 2], 2, 0) == [1, 1, 1, 1]
+    assert route(3, [2**12, 0, 0], 2, 1) == [12, 12]
+    assert route(7, up7, 2, 1) == [12, 12]
+    assert len(calls) == 3  # the certificate failed mod 2**10
+    assert (route(10, upper10, 2, 0) is None) == (corank10 > 0)
     assert kernel_rank(a8) == corank8
     assert pfaffian(a8) ** 2 == det8
 
