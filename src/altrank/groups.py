@@ -1,10 +1,10 @@
 """Finite abelian p-groups, automorphism counts, and limiting measures.
 
-Closed-form counts (Hillar-Rhea for plain automorphisms, an
-orbit-stabilizer reduction for pairing-preserving ones); the tests check
-them against brute-force enumerators on small groups.  Infinite products
-carry certified truncation tails, and the finite-n cokernel law is an
-exact Fraction.
+Closed-form counts: #Aut(G) is #End(G), and the pairing-preserving
+count #Sp(G) is #Sym^2(G), times a unit fraction per layer; the tests
+check them against brute-force enumerators on small groups.  Infinite
+products carry certified truncation tails, and the finite-n cokernel
+law is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -113,79 +113,44 @@ class MeasureValue:
 # automorphism counts
 
 
+def _unit_count(p: int, size_log: int, layers, step: int) -> int:
+    """p^size_log * prod over layer sizes m of prod_{i=1..m} (1 - p^(-step*i)),
+    in integers."""
+    out = 1
+    for m in layers:
+        for i in range(1, m + 1):
+            out *= p ** (step * i) - 1
+            size_log -= step * i
+    return out * p**size_log
+
+
 def aut_order(g: AbelianPGroup) -> int:
-    """Automorphism count of a finite abelian p-group (Hillar-Rhea form)."""
-    e = sorted(g.exponents)  # ascending
-    n = len(e)
-    if n == 0:
-        return 1
-    p = g.p
-    d = [0] * n
-    c = [0] * n
-    for k in range(n):
-        d[k] = max(l for l in range(n) if e[l] == e[k]) + 1
-        c[k] = min(l for l in range(n) if e[l] == e[k]) + 1
-    out = 1
-    for k in range(n):
-        out *= p ** d[k] - p**k
-    for j in range(n):
-        out *= (p ** e[j]) ** (n - d[j])
-    for i in range(n):
-        out *= (p ** (e[i] - 1)) ** (n - c[i] + 1)
-    return out
+    """#Aut(G) = #End(G) * prod over layers prod_{i=1..m} (1 - p^-i).
 
-
-def _gl_order(p: int, a: int) -> int:
-    out = 1
-    pa = p**a
-    for i in range(a):
-        out *= pa - p**i
-    return out
-
-
-def _sp_order(p: int, a: int) -> int:
-    # a = 2m even
-    m = a // 2
-    out = p ** (m * m)
-    for i in range(1, m + 1):
-        out *= p ** (2 * i) - 1
-    return out
-
-
-def _alternating_pairing_count(p: int, doubled) -> int:
-    """Number of nondegenerate alternating pairings on the doubled group.
-
-    Layer recursion over distinct exponent values k (ascending): the
-    rank-a_k layer contributes a unit-block count p^((k-1) a(a-1)/2)
-    times the count of nondegenerate alternating forms on F_p^a times
-    free choices against everything of smaller exponent.
+    A layer is the m summands Z/p^k of one exponent k, and #End(G) =
+    p^(sum of min(e, f) over ordered pairs of exponents).  End(G) modulo
+    its radical is the product of the matrix rings M_m(F_p), whose units
+    are the GL_m(F_p), each of order p^(m^2) prod_{i=1..m} (1 - p^-i).
     """
-    mult = Counter(doubled)
-    total = 1
-    below_log = 0
-    for k in sorted(mult):
-        a = mult[k]
-        total *= p ** ((k - 1) * a * (a - 1) // 2)
-        total *= _gl_order(p, a) // _sp_order(p, a)
-        total *= (p**below_log) ** a
-        below_log += k * a
-    return total
+    ex = g.exponents
+    end_log = sum(min(e, f) for e in ex for f in ex)
+    return _unit_count(g.p, end_log, Counter(ex).values(), 1)
 
 
 def symplectic_aut_order(s: SymplecticPGroup) -> int:
-    """Count of automorphisms preserving the alternating pairing.
+    """#Sp(G) = #Sym^2(G) * prod over layers of the base
+    prod_{i=1..a} (1 - p^-2i), a the layer's size.
 
-    The plain automorphism count divided by the number of nondegenerate
-    alternating pairings (orbit-stabilizer; the action of Aut on
-    pairings is transitive).  The tests enumerate the same count for
-    small groups.
+    #Sym^2(G) = p^(sum of min(e, f) over unordered pairs of exponents of
+    the doubled group G, each exponent also paired with itself).  The
+    count has the shape of aut_order's: the pairing-preserving maps
+    reduce onto the groups Sp_2a(F_p), each of order
+    p^(a(2a+1)) prod_{i=1..a} (1 - p^-2i).  The tests enumerate the same
+    count for small groups.
     """
-    g = s.underlying()
-    total = aut_order(g)
-    pairings = _alternating_pairing_count(s.p, g.exponents)
-    if total % pairings:
-        raise AssertionError("pairing count does not divide automorphism count")
-    return total // pairings
+    ex = s.underlying().exponents
+    sym_log = sum(min(e, f) for i, e in enumerate(ex) for f in ex[i:])
+    return _unit_count(s.p, sym_log, Counter(s.base.exponents).values(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +189,9 @@ def finite_cl_law(g: AbelianPGroup, n: int) -> Fraction:
     Haar-uniform n x n matrix over Z_p (Friedman and Washington, 1989):
     prod_{i=1..n}(1 - p^-i) * prod_{i=n-r+1..n}(1 - p^-i) / #Aut(g), r
     the p-rank of g, and 0 when r > n.  As n grows it tends to
-    cl_measure(g)."""
+    cl_measure(g).  Refuses n < 0."""
+    if n < 0:
+        raise ValueError(f"matrix size n must be nonnegative, got {n}")
     r = len(g.exponents)
     if r > n:
         return Fraction(0)
@@ -299,8 +266,9 @@ def group_label(g) -> str:
 
 
 def partitions_up_to(total: int):
-    """All partitions (descending tuples) with sum <= total, incl. ()."""
-    out = [()]
+    """All partitions (descending tuples) with sum <= total, incl. ()
+    when total >= 0."""
+    out = [()] if total >= 0 else []
 
     def rec(prefix, remaining, largest):
         for part in range(min(remaining, largest), 0, -1):

@@ -119,9 +119,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, exact."""
+    """Floor of the k-th root of n >= 0, exact, for k >= 1."""
     if n < 0:
         raise ValueError("iroot expects n >= 0")
+    if k < 1:
+        raise ValueError(f"iroot expects k >= 1, got {k}")
     if n.bit_length() <= k:
         return min(n, 1)  # n < 2**k
     if k == 2:

@@ -1187,8 +1187,9 @@ def test_byte_identical_across_threads(tmp_path, monkeypatch, command):
 
 # sha256 of each output of one small run per data command (manifests,
 # which hold a timestamp, apart), simulate's in chunks of 100 curves
-# (altrank.model.CHUNK patched).  A change that alters any output byte
-# must say so and update the hash.
+# (altrank.model.CHUNK patched); a key "command:tag" names a further run of
+# the command.  A change that alters any output byte must say so and update
+# the hash.
 GOLDEN_RUNS = {
     "simulate": (
         ["--h-grid", "1e6,1e9,1e12", "--curves-per-band", "300", "--seed", "11"],
@@ -1197,6 +1198,11 @@ GOLDEN_RUNS = {
     "sha-dist": (
         ["--n", "6", "--x", "20", "--r", "0", "--p", "2", "--samples", "300", "--seed", "11"],
         {"sha_dist.json": "60ce1f3195ce9a15d24bcda6331d300df20556f34e613925afcf15113d70228a"},
+    ),
+    # delaunay_measure at rank 1 and an odd prime in the reference column
+    "sha-dist:p3-r1": (
+        ["--n", "5", "--x", "2", "--r", "1", "--p", "3", "--samples", "300", "--seed", "11"],
+        {"sha_dist.json": "ea5c6b737e8ae3ac5f800e3def5626b7c578ae282a040a4d72b574060dbabff3"},
     ),
     "cl-dist": (
         ["--n", "5", "--p", "3", "--k", "5", "--samples", "300", "--seed", "11"],
@@ -1227,7 +1233,7 @@ GOLDEN_RUNS = {
 def test_outputs_match_golden_bytes(tmp_path, monkeypatch, command):
     monkeypatch.setattr(altrank.model, "CHUNK", 100)
     args, want = GOLDEN_RUNS[command]
-    assert main([command, *args, "--out", str(tmp_path)]) == 0
+    assert main([command.split(":")[0], *args, "--out", str(tmp_path)]) == 0
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in tmp_path.iterdir()

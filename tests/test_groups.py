@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -216,7 +217,7 @@ def test_symplectic_doubles():
 
 
 # ---------------------------------------------------------------------------
-# automorphism counts: Hillar-Rhea closed form vs brute enumeration
+# automorphism counts: closed form vs brute enumeration
 
 
 @pytest.mark.parametrize(
@@ -317,10 +318,26 @@ def test_symplectic_brute_cap():
 
 def test_symplectic_divides_full_aut():
     # pairing-preserving automorphisms form a subgroup
-    for p, lam in [(2, (1,)), (2, (2, 1)), (3, (1,)), (2, (1, 1))]:
+    for p, lam in itertools.product((2, 3, 5), partitions_up_to(6)):
         s = SymplecticPGroup(AbelianPGroup(p, lam))
         full = aut_order(s.underlying())
         assert full % symplectic_aut_order(s) == 0
+
+
+def test_counts_match_recorded_values_past_brute_force():
+    # (p, lam, #Aut, #Sp) on every partition of total <= 8, recorded from
+    # a second route (the Hillar-Rhea count, and #Aut divided by the count
+    # of nondegenerate alternating pairings), far past brute force
+    rows = []
+    for p in (2, 3, 5, 7):
+        for lam in partitions_up_to(8):
+            g = AbelianPGroup(p, lam)
+            rows.append((p, lam, aut_order(g), symplectic_aut_order(SymplecticPGroup(g))))
+    assert len(rows) == 268
+    assert (
+        hashlib.sha256(repr(rows).encode()).hexdigest()
+        == "23cd3bb9301142cca6bda0fec8cf5a7b0ddfd894853bdddea37ec4c192bb9b08"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +364,12 @@ def test_finite_cl_law_tends_to_cl_measure():
     # a 0 x 0 matrix has trivial cokernel; p-rank above n is never reached
     assert finite_cl_law(AbelianPGroup(2, ()), 0) == 1
     assert finite_cl_law(AbelianPGroup(3, (1, 1)), 1) == 0
+
+
+def test_finite_cl_law_refuses_negative_n():
+    # no matrix has a negative size; 0 for every group is no law
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        finite_cl_law(AbelianPGroup(2, ()), -1)
 
 
 def test_cl_measure_trivial_known_value():
@@ -504,3 +527,9 @@ def test_symplectic_support_shape():
     assert labels[0] == "2:[]"
     assert "2:[1,1]" in labels
     assert all(s.p == 2 for s in groups)
+
+
+def test_negative_size_has_no_partition():
+    # no partition, the empty one included, has a sum <= -1
+    assert partitions_up_to(-1) == []
+    assert symplectic_support(2, -1) == []

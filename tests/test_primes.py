@@ -92,3 +92,10 @@ def test_iroot_huge_no_float_loss():
 def test_iroot_rejects_negative():
     with pytest.raises(ValueError):
         iroot(-1, 2)
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (5, -1), (0, 0)])
+def test_iroot_rejects_k_below_one(n, k):
+    # a k-th root needs k >= 1; k = 0 would divide by zero
+    with pytest.raises(ValueError, match=f"k >= 1, got {k}"):
+        iroot(n, k)
