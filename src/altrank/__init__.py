@@ -4,7 +4,8 @@ rank/Sha statistics, counting experiments, and real-period checks.
 
 `import altrank` loads no submodule: each exported name is imported
 from its submodule on first access (PEP 562), so a CLI run pays only
-for the modules its command uses.
+for the modules its command uses.  `__all__`, `dir(altrank)` and
+`from altrank import *` follow the same table.
 """
 
 __version__ = "0.1.0"

@@ -1,19 +1,14 @@
 """Command-line harness: reproducible experiments with run manifests.
 
-`altrank.settings` parses argv, resolves the settings and holds the
-command table; its `main` imports this module only for a command that
-runs, and calls `run_command`.  Every data-producing subcommand writes
-fixed-name outputs plus a <stem of the first output>_manifest.json
-recording command, claim tag, seed, thread count, and the full
-effective configuration.  The `verify` suites and their oracles live in
-`altrank.verify`, which only `verify` imports.  All randomness flows
-from the configured seed: simulate, sha-dist, cl-dist and period-scan
-draw in fixed-size chunks seeded from (seed, label, chunk index), which
---threads worker processes run (count runs one census per bound),
-merged in chunk order.  Floats are emitted with repr and JSON keys are
-sorted, so outputs are byte-identical for a given seed at any --threads
-value.  The manifest timestamp is the one intentionally
-non-reproducible field.
+`settings.main` imports this module for a command that runs and calls
+`run_command`.  Every data-producing subcommand writes fixed-name
+outputs plus a <stem of the first output>_manifest.json recording
+command, claim tag, seed, thread count, and the full effective
+configuration.  All randomness flows from the configured seed through
+the seeded chunks of `altrank.parallel` (count runs one census per
+bound).  Floats are emitted with repr and JSON keys are sorted, so
+outputs are byte-identical for a given seed at any --threads value.
+The manifest timestamp is the one intentionally non-reproducible field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """

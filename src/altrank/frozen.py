@@ -3,8 +3,8 @@
 `@frozen` gives a class with annotated fields what the standard
 library's `@dataclass(frozen=True)` gives it, with the same repr text,
 equality, hash and pickling, but from closures over the field names:
-no source is generated, and the standard library's module is never
-imported.
+no source is generated, and the standard library's module, which
+imports inspect and ast, is never loaded.
 
 - `__init__` takes the fields positionally or by keyword, in
   annotation order; a class attribute is the field's default

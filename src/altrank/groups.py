@@ -1,10 +1,9 @@
 """Finite abelian p-groups, automorphism counts, and limiting measures.
 
-Closed-form counts: #Aut(G) is #End(G), and the pairing-preserving
-count #Sp(G) is #Sym^2(G), times a unit fraction per layer; the tests
-check them against brute-force enumerators on small groups.  Infinite
-products carry certified truncation tails, and the finite-n cokernel
-law is an exact Fraction.
+The automorphism counts are closed forms, which the tests check against
+brute-force enumerators on small groups.  Infinite products carry
+certified truncation tails, and the finite-n cokernel law is an exact
+Fraction.
 """
 
 from __future__ import annotations
@@ -258,6 +257,8 @@ def group_label(g) -> str:
     """Canonical label: 'p:[e1,e2,...]' with exponents descending."""
     if isinstance(g, SymplecticPGroup):
         g = g.underlying()
+    elif not isinstance(g, AbelianPGroup):
+        raise TypeError(f"g must be an AbelianPGroup or SymplecticPGroup, got {g!r}")
     return f"{g.p}:[{','.join(map(str, g.exponents))}]"
 
 

@@ -95,6 +95,9 @@ def _check_int(name: str, value) -> None:
 
 
 def curve_height(a4: int, a6: int) -> int:
+    """max(|4*a4^3|, 27*a6^2); a float coefficient is refused, not rounded."""
+    _check_int("a4", a4)
+    _check_int("a6", a6)
     return max(abs(4 * a4 * a4 * a4), 27 * a6 * a6)
 
 
@@ -163,6 +166,7 @@ def count_curves_exact(height_cap: int) -> int:
     """
     from .counting import CapExceededError
 
+    _check_int("height_cap", height_cap)
     cap = 10**8
     if height_cap < 0:
         return 0
@@ -269,6 +273,9 @@ class ModelParams(NamedTuple):
 
 
 def schedule_eta(height: int, cfg: ModelConfig) -> int:
+    _check_int("height", height)
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height}")
     if cfg.eta_schedule == "constant":
         return cfg.eta_floor
     num = cfg.calibration_exponent.numerator
@@ -413,8 +420,15 @@ def draw_model(height: int, cfg: ModelConfig, rng: Random) -> ModelDraw:
 def _check_draw_cost(keys: str, values, *eliminations) -> None:
     """Refuse a draw whose eliminations (s, b) pass DRAW_BUDGET steps, in
     ints: s steps on entries of about b bits (a dense n x n elimination is
-    s = n**3) take s * (1 + b / 300)**2 steps of about 0.1 us.
-    keys.format(*values) names the keys, an int past 2**100 by its bits."""
+    s = n**3) take s * (1 + b / 300)**2 steps of about 0.1 us, as CPython
+    works on small ints at a fixed cost and divides long ones in time
+    quadratic in their length.  keys.format(*values) names the keys, an
+    int past 2**100 by its bits.  check_sha_distribution,
+    check_cl_distribution and rank_survey price their draws in comments.
+    The constants fit timed eliminations on a 2-core Xeon VM within 1.5x
+    from about 1000 to 66000 bits, and up to 3x high on small entries;
+    BENCH_rank_price.json times the rank and the sha-dist and simulate edges.
+    """
     if sum(s * (300 + b) ** 2 for s, b in eliminations) > DRAW_BUDGET * 300**2:
         vs = (f"of {v.bit_length()} bits" if isinstance(v, int) and v >> 100 else v for v in values)
         raise ValueError(f"{keys.format(*vs)}; one draw may take more than {DRAW_BUDGET / 1e7:g} s")
@@ -453,6 +467,8 @@ def _label_counts(p: int, tallies: Counter) -> dict:
 def merge_distributions(parts) -> EmpiricalDistribution:
     """The distributions of seeded chunks as one: counts, total and meta's
     draws and refinement_rounds summed, the other meta keys the first's."""
+    if not parts:
+        raise ValueError("merge_distributions needs at least one distribution")
     counts: Counter = sum((Counter(part.counts) for part in parts), Counter())
     meta = dict(parts[0].meta)
     for key in {"draws", "refinement_rounds"} & meta.keys():
@@ -489,7 +505,8 @@ def check_sha_distribution(n: int, x: int, r: int, p: int, samples: int) -> None
     if n < 0:
         # no draw would refuse it: n(n-1)/2 is positive at n < 0
         raise ValueError("dimension must be nonnegative")
-    # kernel mod p**10 at half its size, rank at a quarter of Bareiss (2 x 2 pivots), b = n*bits(x)/3
+    # kernel mod p**10 at half its size (2 x 2 pivots); rank at n**3/4, about n**3/12 updates
+    # against Bareiss's n**3/3, on b = n*bits(x)/3 (Bareiss reaches n*bits(x) only at the end)
     kernel = (((n + 1) // 2) ** 3, 10 * (p - 1).bit_length())
     _check_draw_cost("n {}, x {} and p {}", (n, x, p), kernel, (n**3 // 4, n * x.bit_length() // 3))
 
@@ -589,12 +606,12 @@ def empirical_cl_distribution(
 
     Odd p draws the entries row-major with _uniform_list and eliminates
     with diag_valuations_mod.  At p = 2 a residue mod 2**prec is a bit
-    field, so each row is one int of n lanes of w = 2 * prec bits, lane j
-    the low prec bits of bits j*w to j*w + w - 1 of one getrandbits(n * w)
-    call per row, and _diag_valuations_mod2_packed eliminates a whole row
-    per operation.  A refinement round moves the lanes to the wider width
-    and takes each entry's two new digits from bits prec and prec + 1 of
-    its lane of one more getrandbits(n * w) call per row, at the new w.
+    field, so each row is one getrandbits(n * w) call, w = 2 * prec,
+    masked to the packed row of _diag_valuations_mod2_packed, which
+    eliminates a whole row per operation.  A refinement round moves the
+    lanes to the wider width and takes each entry's two new digits from
+    bits prec and prec + 1 of its lane of one more getrandbits(n * w)
+    call per row, at the new w.
     Both routes draw every digit uniformly and independently, so they
     have the same law.
     """
@@ -742,11 +759,10 @@ def rank_survey(h_grid, curves_per_band: int, cfg: ModelConfig, threads: int = 1
     log-log slope fits across the grid for every r with enough signal.
 
     Each band (h/2, h] draws one model draw per uniform valid curve in
-    it; a band inside one schedule interval draws no curve, since every
-    curve there has the same (eta, x) (see _survey_chunk).  Returns
-    (records, fits) where fits maps r to a FitResult.  Each band is
-    split into chunks of CHUNK curves, seeded from (cfg.seed, band,
-    chunk), so results do not depend on the thread count.
+    it, as _survey_chunk says.  Returns (records, fits) where fits maps r
+    to a FitResult.  Each band is split into chunks of CHUNK curves,
+    seeded from (cfg.seed, band, chunk), so results do not depend on the
+    thread count.
     """
     h_grid = list(h_grid)
     for h in h_grid:

@@ -4,6 +4,16 @@ The full real locus is integrated: both components when the cubic has
 three real roots (positive discriminant), one otherwise.  The two
 components carry equal length for the invariant differential, which the
 quadrature cross-check verifies rather than assumes.
+
+Both routes take every root gap from one real root and the exact
+integer discriminant (_root_and_gap), and refuse by name, in ints, a
+curve whose root or discriminant would leave the float range.  The AGM
+holds its est_error up to a singular curve; near one the quadrature
+agrees to 1e-12 or raises a ValueError that names the curve
+(tests/test_periods.py).  A scan is checked once (check_period_scan),
+drawn in chunks of rows (period_scan_rows) and summarized over all rows
+(period_scan_summary).  This module does not import counting, so
+period-scan and verify period never load it.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ import heapq
 import math
 from typing import NamedTuple
 
-from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, _band_nonempty, sample_curve_in_band
+from .model import MAX_FLOAT_HEIGHT, MIN_HEIGHT, _band_nonempty, _curve_stream
 
 __all__ = [
     "PeriodResult",
@@ -264,8 +274,7 @@ def period_scan_rows(h_range, samples: int, rng) -> list:
     rows = []
     for _ in range(samples):
         cap = max(MIN_HEIGHT, round(math.exp(rng.uniform(log_lo, log_hi))))
-        curve = sample_curve_in_band(cap, rng)
-        a4, a6, h = curve.a4, curve.a6, curve.height
+        a4, a6, h = next(_curve_stream(cap, rng))
         omega = real_period(a4, a6).omega
         rows.append((a4, a6, h, discriminant(a4, a6), omega, omega * h ** (1.0 / 12.0)))
     return rows

@@ -19,7 +19,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; n >= PSI_13 raises ValueError."""
+    """Deterministic primality test; n >= PSI_13 raises ValueError, and a
+    non-int n TypeError: a float is refused, not rounded."""
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n >= PSI_13:
         raise ValueError(f"is_prime is exact only below {PSI_13}, got {n}")
     return _probable_prime(n)

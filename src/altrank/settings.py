@@ -7,9 +7,8 @@ sampling modules: `altrank.cli`, which runs the commands and with them
 `model`, `linalg`, `groups` and `primes`, is imported only once the
 settings of a command that runs are resolved.  Each command is declared
 once, in `_COMMANDS`; its flags, config keys and manifest follow from
-that entry, and each key's parser from its default.  `ModelConfig`
-lives here, since simulate's model keys are its fields.  The front end
-imports only `altrank.frozen` of the package.
+that entry.  `ModelConfig` lives here, since simulate's model keys are
+its fields.  The front end imports only `altrank.frozen` of the package.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ class ModelConfig:
 
     The numerator and denominator of calibration_exponent are at most
     MAX_CALIBRATION_TERM (1000).  rank_survey refuses a schedule whose
-    top-height rank (s = n**3 / 4 at n = eta + 1, b = n * bits(x) / 3) and
-    power x**(den*eta) (s = 1) pass DRAW_BUDGET at s * (1 + b / 300)**2 steps.
+    draws model._check_draw_cost prices past DRAW_BUDGET.
     """
 
     eta_schedule: str = "log3"

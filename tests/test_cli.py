@@ -1226,6 +1226,23 @@ GOLDEN_RUNS = {
         ["--h-list", "1e10,1e20,1e30"],
         {"predicted_table.csv": "00373f75343ebc31173b30d5ca767030c4ac07fa348b8628682e5ff69649cb30"},
     ),
+    # 25165824 crosses the x step at 2**24 and 3**37 // 2 the eta step at
+    # 3**36: each band draws its curves, and _survey_chunk switches interval
+    "simulate:cross": (
+        ["--h-grid", "1e6,25165824,225141952945498681", "--curves-per-band", "300", "--seed", "11"],
+        {"survey.csv": "7d32080f5cd320769510580432950a156c5e5eb5dd9db79965829acdb61ecbd6"},
+    ),
+    # sizes 5 to 8: _alternating_rank's n = 5 table and, above it,
+    # _alternating_elimination
+    "simulate:large-n": (
+        ["--h-grid", "1e30,1e36,1e45", "--curves-per-band", "300", "--seed", "11"],
+        {"survey.csv": "96655301ba3e9b45745c2ab3e6606a86f5f8ee60265d23c0f9742386c3bc5bad"},
+    ),
+    # p = 2 runs the packed rows of _diag_valuations_mod2_packed
+    "cl-dist:p2": (
+        ["--n", "8", "--p", "2", "--k", "8", "--samples", "300", "--seed", "11"],
+        {"cl_dist.json": "42d5ec95a90489cae6cd28a3963ffb602ac5d4baa7fba59d7d2e14724e239f13"},
+    ),
 }
 
 

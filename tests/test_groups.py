@@ -194,6 +194,13 @@ def test_group_basics():
     assert group_label(AbelianPGroup(3, ())) == "3:[]"
 
 
+@pytest.mark.parametrize("g", [5, (2, (3, 1)), "2:[3,1]"], ids=["int", "tuple", "label"])
+def test_group_label_refuses_a_non_group_by_name(g):
+    with pytest.raises(TypeError) as refused:
+        group_label(g)
+    assert str(refused.value) == f"g must be an AbelianPGroup or SymplecticPGroup, got {g!r}"
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         AbelianPGroup(4, (1,))

@@ -25,6 +25,7 @@ from altrank.model import (
     CurveParams,
     EmpiricalDistribution,
     ModelConfig,
+    check_cl_distribution,
     count_curves_exact,
     curve_height,
     draw_model,
@@ -688,6 +689,23 @@ def test_draw_budget_accepts_the_old_size_bounds(monkeypatch, sampler, run):
         run()
 
 
+@pytest.mark.parametrize(
+    "accepted, refused",
+    [
+        # the largest prime is_prime takes, at 82 bits
+        ((111, 3317044064679887385961813, 8), (112, 3317044064679887385961813, 8)),
+        # priced as the scalar kernel, which the packed rows run far below
+        ((240, 2, 8), (241, 2, 8)),
+        ((8, 2, 36442), (8, 2, 36443)),
+    ],
+    ids=["n-p82", "n-p2", "k-p2"],
+)
+def test_cl_budget_edge_accepts_and_refuses_one_size_up(accepted, refused):
+    check_cl_distribution(*accepted, 1)
+    with pytest.raises(ValueError, match="one draw may take more than 1.5 s"):
+        check_cl_distribution(*refused, 1)
+
+
 def test_model_params_draws_both_sizes():
     rng = Random(32)
     cfg = ModelConfig()
@@ -722,6 +740,37 @@ def test_model_params_rejects_small_height():
 def test_float_heights_are_refused_by_name(call, error):
     # a float is not rounded to an int height: int(1e24) is 999999999999999983222784
     with pytest.raises(TypeError) as refused:
+        call()
+    assert str(refused.value) == error
+
+
+@pytest.mark.parametrize(
+    "call, exc, error",
+    [
+        (lambda: count_curves_exact(1e3), TypeError, "height_cap must be an int, got 1000.0"),
+        (lambda: curve_height(1.5, 2), TypeError, "a4 must be an int, got 1.5"),
+        (lambda: curve_height(1, 2.0), TypeError, "a6 must be an int, got 2.0"),
+        (lambda: schedule_eta(0, CFG), ValueError, "height must be at least 1, got 0"),
+        (lambda: schedule_eta(-5, CFG), ValueError, "height must be at least 1, got -5"),
+        (lambda: schedule_eta(1e6, CFG), TypeError, "height must be an int, got 1000000.0"),
+        (
+            lambda: merge_distributions([]),
+            ValueError,
+            "merge_distributions needs at least one distribution",
+        ),
+    ],
+    ids=[
+        "count-float",
+        "height-float-a4",
+        "height-float-a6",
+        "eta-zero",
+        "eta-negative",
+        "eta-float",
+        "merge-empty",
+    ],
+)
+def test_library_edge_inputs_are_refused_by_name(call, exc, error):
+    with pytest.raises(exc) as refused:
         call()
     assert str(refused.value) == error
 

@@ -39,6 +39,14 @@ def test_is_prime_large_known():
             is_prime(n)
 
 
+@pytest.mark.parametrize("n", [1.0, 7.0, 2.5], ids=["one", "prime-valued", "fraction"])
+def test_is_prime_refuses_a_float_by_name(n):
+    # refused, not rounded: is_prime(1.0) was False and is_prime(7.0) True
+    with pytest.raises(TypeError) as refused:
+        is_prime(n)
+    assert str(refused.value) == f"n must be an int, got {n!r}"
+
+
 def test_factorize_roundtrip_random():
     rng = Random(1)
     for _ in range(200):
